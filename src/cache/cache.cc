@@ -1,7 +1,9 @@
 #include "cache/cache.hh"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
+#include <utility>
 
 #include "common/logging.hh"
 #include "sim/stat_registry.hh"
@@ -20,8 +22,17 @@ Cache::Cache(const Config &cfg, CachePort *downstream)
     numSets_ = static_cast<unsigned>(lines / cfg_.assoc);
     dx_assert((numSets_ & (numSets_ - 1)) == 0,
               "set count must be a power of two");
-    sets_.assign(numSets_, std::vector<Way>(cfg_.assoc));
+    dx_assert(cfg_.mshrs > 0 && cfg_.queueSize > 0,
+              "cache needs MSHRs and an input queue");
+    ways_.assign(std::size_t{numSets_} * cfg_.assoc, Way{});
     mshrs_.assign(cfg_.mshrs, Mshr{});
+    freeMshrs_.assign((cfg_.mshrs + 63) / 64, 0);
+    for (unsigned i = 0; i < cfg_.mshrs; ++i)
+        freeMshrs_[i / 64] |= std::uint64_t{1} << (i % 64);
+    const unsigned slots = std::bit_ceil(2 * cfg_.mshrs);
+    index_.assign(slots, IndexSlot{kEmptySlot, 0});
+    indexShift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
+    queue_.resize(cfg_.queueSize);
 }
 
 void
@@ -30,59 +41,119 @@ Cache::setPrefetcher(std::unique_ptr<Prefetcher> pf)
     prefetcher_ = std::move(pf);
 }
 
-unsigned
-Cache::setIndex(Addr line) const
+std::size_t
+Cache::setBase(Addr line) const
 {
-    return static_cast<unsigned>((line >> kLineShift) & (numSets_ - 1));
+    return ((line >> kLineShift) & (numSets_ - 1)) * std::size_t{cfg_.assoc};
+}
+
+const Cache::Way *
+Cache::findWay(Addr line) const
+{
+    const Way *set = &ways_[setBase(line)];
+    for (unsigned w = 0; w < cfg_.assoc; ++w) {
+        if (set[w].valid && set[w].tag == line)
+            return &set[w];
+    }
+    return nullptr;
 }
 
 Cache::Way *
-Cache::lookup(Addr line)
+Cache::findWay(Addr line)
 {
-    auto &set = sets_[setIndex(line)];
-    for (auto &way : set) {
-        if (way.valid && way.tag == line)
-            return &way;
-    }
-    return nullptr;
+    return const_cast<Way *>(std::as_const(*this).findWay(line));
+}
+
+unsigned
+Cache::indexHome(Addr line) const
+{
+    return static_cast<unsigned>(
+        ((line >> kLineShift) * 0x9E3779B97F4A7C15ull) >> indexShift_);
 }
 
 int
 Cache::mshrFor(Addr line) const
 {
-    for (unsigned i = 0; i < mshrs_.size(); ++i) {
-        if (mshrs_[i].valid && mshrs_[i].line == line)
-            return static_cast<int>(i);
+    // The table is at most half full, so the probe run ends at a hole.
+    const unsigned mask = static_cast<unsigned>(index_.size()) - 1;
+    for (unsigned i = indexHome(line);; i = (i + 1) & mask) {
+        if (index_[i].line == line)
+            return static_cast<int>(index_[i].mshr);
+        if (index_[i].line == kEmptySlot)
+            return -1;
     }
-    return -1;
+}
+
+void
+Cache::indexErase(Addr line)
+{
+    const unsigned mask = static_cast<unsigned>(index_.size()) - 1;
+    unsigned hole = indexHome(line);
+    while (index_[hole].line != line) {
+        dx_assert(index_[hole].line != kEmptySlot, cfg_.name,
+                  ": MSHR index lost a line");
+        hole = (hole + 1) & mask;
+    }
+    // Backward-shift delete: an entry later in the run moves into the
+    // hole unless its home lies cyclically in (hole, j], where the move
+    // would put it before its home and out of reach of its probes.
+    for (unsigned j = (hole + 1) & mask; index_[j].line != kEmptySlot;
+         j = (j + 1) & mask) {
+        if (((j - indexHome(index_[j].line)) & mask) >=
+            ((j - hole) & mask)) {
+            index_[hole] = index_[j];
+            hole = j;
+        }
+    }
+    index_[hole].line = kEmptySlot;
 }
 
 int
 Cache::freeMshr() const
 {
-    for (unsigned i = 0; i < mshrs_.size(); ++i) {
-        if (!mshrs_[i].valid)
-            return static_cast<int>(i);
+    for (unsigned w = 0; w < freeMshrs_.size(); ++w) {
+        if (freeMshrs_[w])
+            return static_cast<int>(w * 64 +
+                                    std::countr_zero(freeMshrs_[w]));
     }
     return -1;
 }
 
 bool
+Cache::mshrLive(unsigned idx) const
+{
+    return !((freeMshrs_[idx / 64] >> (idx % 64)) & 1);
+}
+
+Cache::Mshr &
+Cache::allocMshr(unsigned idx, Addr line)
+{
+    freeMshrs_[idx / 64] &= ~(std::uint64_t{1} << (idx % 64));
+    ++mshrsInUse_;
+    const unsigned mask = static_cast<unsigned>(index_.size()) - 1;
+    unsigned i = indexHome(line);
+    while (index_[i].line != kEmptySlot)
+        i = (i + 1) & mask;
+    index_[i] = {line, idx};
+    Mshr &m = mshrs_[idx];
+    m.line = line;
+    return m;
+}
+
+bool
 Cache::canAccept() const
 {
-    return queue_.size() < cfg_.queueSize;
+    return queueLen_ < cfg_.queueSize;
 }
 
 void
 Cache::request(const CacheReq &req)
 {
     dx_assert(canAccept(), cfg_.name, ": input queue overflow");
-    if (queue_.empty()) {
-        // The push below becomes the new head: every head-derived memo
-        // must go, and a kTimed "nothing until sleepUntil_" verdict
-        // tightens to the new head's service time.
-        selfValid_ = false;
-        memoValid_ = false;
+    if (queueLen_ == 0) {
+        // The push below becomes the new head: a kTimed "nothing until
+        // sleepUntil_" verdict tightens to the new head's service time,
+        // and any other verdict must go.
         if (qMemo_ == QMemo::kTimed)
             sleepUntil_ = std::min(sleepUntil_, now_ + cfg_.latency);
         else
@@ -91,78 +162,56 @@ Cache::request(const CacheReq &req)
     // Non-empty queue: the head (and thus its stall classification and
     // any quiescence verdict) is untouched — the queue is served in
     // order, so an entry behind the head cannot act before it. The
-    // memos survive the arrival.
-    queue_.push_back({req, now_ + cfg_.latency});
+    // memo survives the arrival.
+    unsigned tail = queueFront_ + queueLen_;
+    if (tail >= cfg_.queueSize)
+        tail -= cfg_.queueSize;
+    queue_[tail] = {req, now_ + cfg_.latency};
+    ++queueLen_;
 }
 
 bool
 Cache::containsLine(Addr line) const
 {
     line = lineAlign(line);
-    const auto &set = sets_[setIndex(line)];
-    for (const auto &way : set) {
-        if (way.valid && way.tag == line)
-            return true;
-    }
-    return mshrFor(line) >= 0;
+    return findWay(line) || mshrFor(line) >= 0;
 }
 
 bool
 Cache::tagsHold(Addr line) const
 {
-    line = lineAlign(line);
-    const auto &set = sets_[setIndex(line)];
-    for (const auto &way : set) {
-        if (way.valid && way.tag == line)
-            return true;
-    }
-    return false;
+    return findWay(lineAlign(line)) != nullptr;
 }
 
 bool
 Cache::invalidateLine(Addr line)
 {
-    selfValid_ = false;
     qMemo_ = QMemo::kNone;
-    memoValid_ = false;
-    line = lineAlign(line);
-    auto &set = sets_[setIndex(line)];
-    for (auto &way : set) {
-        if (way.valid && way.tag == line) {
-            const bool dirty = way.dirty;
-            way = Way{};
-            return dirty;
-        }
-    }
-    return false;
+    Way *way = findWay(lineAlign(line));
+    if (!way)
+        return false;
+    const bool dirty = way->dirty;
+    *way = Way{};
+    return dirty;
 }
 
 void
 Cache::installLine(Addr line, bool dirty, bool prefetched)
 {
-    // Installing a line other than the head's cannot break a kForward
-    // verdict (the head still misses: evictions only remove lines the
-    // head was not hitting anyway — see complete). Any other
-    // class, or an install of the head's own line, must reclassify.
-    if (selfClass_ != SelfClass::kForward ||
-        (!queue_.empty() && lineAlign(queue_.front().req.addr) == line))
-        selfValid_ = false;
     qMemo_ = QMemo::kNone;
-    memoValid_ = false;
-    auto &set = sets_[setIndex(line)];
 
     // Refill of a line that is already present (e.g. a full-line write
     // raced with a fill): just merge the dirty bit.
-    for (auto &way : set) {
-        if (way.valid && way.tag == line) {
-            way.dirty = way.dirty || dirty;
-            way.lastUse = ++useCounter_;
-            return;
-        }
+    if (Way *way = findWay(line)) {
+        way->dirty = way->dirty || dirty;
+        way->lastUse = ++useCounter_;
+        return;
     }
 
+    Way *set = &ways_[setBase(line)];
     Way *victim = nullptr;
-    for (auto &way : set) {
+    for (unsigned w = 0; w < cfg_.assoc; ++w) {
+        Way &way = set[w];
         if (!way.valid) {
             victim = &way;
             break;
@@ -201,8 +250,7 @@ Cache::processRequest(const CacheReq &req)
     const bool demand = req.origin == mem::Origin::kCpuDemand;
     const bool dxTraffic = req.origin == mem::Origin::kDx100;
 
-    Way *way = lookup(line);
-    if (way) {
+    if (Way *way = findWay(line)) {
         if (demand) {
             ++stats_.demandAccesses;
             ++stats_.demandHits;
@@ -280,13 +328,9 @@ Cache::processRequest(const CacheReq &req)
         ++stats_.dxMisses;
     }
 
-    Mshr &m = mshrs_[static_cast<unsigned>(idx)];
-    m.valid = true;
-    ++mshrsInUse_;
-    m.line = line;
+    Mshr &m = allocMshr(static_cast<unsigned>(idx), line);
     m.dirtyOnFill = req.write;
     m.prefetch = req.origin == mem::Origin::kPrefetch;
-    m.targets.clear();
     if (req.sink || req.write)
         m.targets.push_back({req.tag, req.sink, req.write});
 
@@ -308,19 +352,10 @@ void
 Cache::complete(const std::uint64_t &tag)
 {
     dx_assert(tag < mshrs_.size(), cfg_.name, ": bogus fill tag");
-    // A fill cannot break a kForward verdict: it frees an MSHR (one
-    // stays free), installs a line that by construction is not the
-    // head's (a head with an MSHR in flight would have classified as
-    // coalesce or target-full), and evicts at most a line the head
-    // already missed on. Every other class can genuinely change —
-    // a freed MSHR unblocks kMshrFull, a fill can turn kNone's hit
-    // into a miss via eviction — so those reclassify.
-    if (selfClass_ != SelfClass::kForward)
-        selfValid_ = false;
+    const unsigned idx = static_cast<unsigned>(tag);
     qMemo_ = QMemo::kNone;
-    memoValid_ = false;
-    Mshr &m = mshrs_[tag];
-    dx_assert(m.valid, cfg_.name, ": fill for idle MSHR");
+    Mshr &m = mshrs_[idx];
+    dx_assert(mshrLive(idx), cfg_.name, ": fill for idle MSHR");
 
     installLine(m.line, m.dirtyOnFill, m.prefetch);
     if (m.prefetch)
@@ -330,7 +365,13 @@ Cache::complete(const std::uint64_t &tag)
         if (t.sink)
             t.sink->complete(t.tag);
     }
-    m = Mshr{};
+    // Reset in place: the targets vector keeps its capacity for the
+    // next miss instead of being freed on every fill.
+    indexErase(m.line);
+    m.dirtyOnFill = false;
+    m.prefetch = false;
+    m.targets.clear();
+    freeMshrs_[idx / 64] |= std::uint64_t{1} << (idx % 64);
     dx_assert(mshrsInUse_ > 0, cfg_.name, ": MSHR count underflow");
     --mshrsInUse_;
 }
@@ -369,13 +410,8 @@ Cache::issuePrefetches()
         if (idx < 0 || !downstream_->canAcceptReq(probe))
             return;
 
-        Mshr &m = mshrs_[static_cast<unsigned>(idx)];
-        m.valid = true;
-        ++mshrsInUse_;
-        m.line = lineAlign(line);
-        m.dirtyOnFill = false;
+        Mshr &m = allocMshr(static_cast<unsigned>(idx), probe.addr);
         m.prefetch = true;
-        m.targets.clear();
 
         CacheReq down;
         down.addr = m.line;
@@ -391,18 +427,18 @@ void
 Cache::tick()
 {
     ++now_;
-    memoValid_ = false;
-    selfValid_ = false;
     qMemo_ = QMemo::kNone;
     drainWritebacks();
 
-    for (unsigned n = 0; n < cfg_.width && !queue_.empty(); ++n) {
-        Pending &p = queue_.front();
+    for (unsigned n = 0; n < cfg_.width && queueLen_ > 0; ++n) {
+        const Pending &p = queueHead();
         if (p.readyAt > now_)
             break;
         if (!processRequest(p.req))
             break; // structural stall: retry next cycle
-        queue_.pop_front();
+        if (++queueFront_ == cfg_.queueSize)
+            queueFront_ = 0;
+        --queueLen_;
         ++popCount_; // a waiter upstream may be watching for space
     }
 
@@ -413,18 +449,19 @@ std::string
 Cache::debugDump() const
 {
     std::ostringstream os;
-    os << cfg_.name << ": queue=" << queue_.size()
+    os << cfg_.name << ": queue=" << queueLen_
        << " writebacks=" << writebacks_.size() << " mshrs:";
     for (unsigned i = 0; i < mshrs_.size(); ++i) {
         const Mshr &m = mshrs_[i];
-        if (!m.valid)
+        if (!mshrLive(i))
             continue;
         os << " [" << i << " line=0x" << std::hex << m.line << std::dec
            << " targets=" << m.targets.size()
            << (m.prefetch ? " pf" : "")
            << (m.dirtyOnFill ? " dirty" : "") << "]";
     }
-    for (const auto &p : queue_) {
+    for (unsigned k = 0; k < queueLen_; ++k) {
+        const Pending &p = queue_[(queueFront_ + k) % cfg_.queueSize];
         os << " {q addr=0x" << std::hex << p.req.addr << std::dec
            << " w=" << p.req.write << " org="
            << static_cast<int>(p.req.origin) << "}";
@@ -435,7 +472,7 @@ Cache::debugDump() const
 bool
 Cache::busy() const
 {
-    return !queue_.empty() || !writebacks_.empty() || mshrsInUse_ > 0;
+    return queueLen_ > 0 || !writebacks_.empty() || mshrsInUse_ > 0;
 }
 
 bool
@@ -447,36 +484,23 @@ Cache::drained() const
 Cache::HeadStall
 Cache::headStall() const
 {
-    const Addr line = lineAlign(queue_.front().req.addr);
-    if (!selfValid_) {
-        const CacheReq &req = queue_.front().req;
-        if (tagsHold(line) || (req.write && req.fullLine)) {
-            // Hit, or a full-line write allocating in place.
-            selfClass_ = SelfClass::kNone;
-        } else if (const int existing = mshrFor(line); existing >= 0) {
-            const Mshr &m = mshrs_[static_cast<unsigned>(existing)];
-            selfClass_ = m.targets.size() >= cfg_.targetsPerMshr
-                             ? SelfClass::kMshrFull
-                             : SelfClass::kNone; // coalesce (or drop)
-        } else if (mshrsInUse_ >= cfg_.mshrs) {
-            selfClass_ = SelfClass::kMshrFull;
-        } else {
-            selfClass_ = SelfClass::kForward;
-        }
-        selfValid_ = true;
-    }
-    switch (selfClass_) {
-      case SelfClass::kNone:
+    const CacheReq &req = queueHead().req;
+    const Addr line = lineAlign(req.addr);
+    // Hit, or a full-line write allocating in place.
+    if (findWay(line) || (req.write && req.fullLine))
         return HeadStall::kNone;
-      case SelfClass::kMshrFull:
-        return HeadStall::kMshrFull;
-      case SelfClass::kForward:
-        break;
+    if (const int existing = mshrFor(line); existing >= 0) {
+        const Mshr &m = mshrs_[static_cast<unsigned>(existing)];
+        return m.targets.size() >= cfg_.targetsPerMshr
+                   ? HeadStall::kMshrFull
+                   : HeadStall::kNone; // coalesce (or drop)
     }
+    if (mshrsInUse_ >= cfg_.mshrs)
+        return HeadStall::kMshrFull;
     CacheReq probe;
     probe.addr = line;
     return downstream_->canAcceptReq(probe) ? HeadStall::kNone
-                                                : HeadStall::kDownstream;
+                                            : HeadStall::kDownstream;
 }
 
 bool
@@ -496,14 +520,14 @@ Cache::quiescentSlow() const
         (prefetcher_ && prefetcher_->pending())) {
         return false;
     }
-    if (queue_.empty()) {
+    if (queueLen_ == 0) {
         qMemo_ = QMemo::kTimed;
         sleepUntil_ = kNeverCycle;
         return true;
     }
-    if (queue_.front().readyAt > now_ + 1) {
+    if (queueHead().readyAt > now_ + 1) {
         qMemo_ = QMemo::kTimed;
-        sleepUntil_ = queue_.front().readyAt;
+        sleepUntil_ = queueHead().readyAt;
         return true;
     }
     // Due head: quiescent only if the retry would structurally stall,
@@ -511,9 +535,7 @@ Cache::quiescentSlow() const
     // accumulates. Nothing the stall depends on (MSHRs, downstream
     // queue space) can change except through external stimulus, which
     // re-evaluates quiescence.
-    memoStall_ = headStall();
-    memoValid_ = true;
-    switch (memoStall_) {
+    switch (headStall()) {
       case HeadStall::kNone:
         return false;
       case HeadStall::kMshrFull:
@@ -542,20 +564,17 @@ Cache::nextEventAtSlow() const
     // due; MSHR fills arrive via complete (external stimulus). A
     // due-but-stalled head also unblocks only via external stimulus,
     // and entries behind it are blocked in order.
-    if (queue_.empty())
+    if (queueLen_ == 0)
         return kNeverCycle;
-    const Cycle readyAt = queue_.front().readyAt;
+    const Cycle readyAt = queueHead().readyAt;
     return readyAt > now_ + 1 ? readyAt : kNeverCycle;
 }
 
 void
 Cache::skipCyclesSlow(Cycle n)
 {
-    if (!queue_.empty() && queue_.front().readyAt <= now_ + 1) {
-        // The memo persists across skips: it is cleared by the entry
-        // points that can change the classification, not consumed here.
-        const HeadStall stall = memoValid_ ? memoStall_ : headStall();
-        switch (stall) {
+    if (queueLen_ > 0 && queueHead().readyAt <= now_ + 1) {
+        switch (headStall()) {
           case HeadStall::kMshrFull:
             stats_.stallMshrFull += n;
             break;

@@ -12,6 +12,7 @@
 #ifndef DX_CACHE_CACHE_HH
 #define DX_CACHE_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -158,7 +159,15 @@ class Cache final : public Component,
             now_ += n;
             return;
         }
-        if (queue_.empty() || queue_.front().readyAt > now_ + 1) {
+        if (queueLen_ == 0 || queueHead().readyAt > now_ + 1) {
+            now_ += n;
+            return;
+        }
+        // A due head under a kTimed verdict that never wakes was
+        // classified kMshrFull by quiescentSlow(), and only a fill
+        // (which clears the verdict) can change that.
+        if (qMemo_ == QMemo::kTimed && sleepUntil_ == kNeverCycle) {
+            stats_.stallMshrFull += n;
             now_ += n;
             return;
         }
@@ -216,9 +225,9 @@ class Cache final : public Component,
         bool write;
     };
 
+    /** A live miss; liveness is the entry's bit in freeMshrs_. */
     struct Mshr
     {
-        bool valid = false;
         Addr line = 0;
         bool dirtyOnFill = false;
         bool prefetch = false;
@@ -231,10 +240,38 @@ class Cache final : public Component,
         Cycle readyAt;
     };
 
-    unsigned setIndex(Addr line) const;
-    Way *lookup(Addr line);
+    /** One slot of the line -> MSHR index; kEmptySlot marks a hole. */
+    struct IndexSlot
+    {
+        Addr line;
+        unsigned mshr;
+    };
+    //! Never line-aligned, so it cannot collide with a real line.
+    static constexpr Addr kEmptySlot = ~Addr{0};
+
+    /** First way of @p line's set in the flat tag store. */
+    std::size_t setBase(Addr line) const;
+    const Way *findWay(Addr line) const;
+    Way *findWay(Addr line);
+
+    /** MSHR tracking @p line (line-aligned), or -1: one index probe. */
     int mshrFor(Addr line) const;
+
+    /**
+     * Lowest free MSHR, or -1. The index is the tag sent downstream,
+     * so lowest-first keeps the tag stream a pure function of the
+     * request stream.
+     */
     int freeMshr() const;
+    bool mshrLive(unsigned idx) const;
+
+    /** Claim free MSHR @p idx for @p line and index it. */
+    Mshr &allocMshr(unsigned idx, Addr line);
+
+    /** Home slot of @p line in index_ (Fibonacci hash). */
+    unsigned indexHome(Addr line) const;
+    /** Drop @p line from index_, backward-shifting its probe run. */
+    void indexErase(Addr line);
 
     /** Install a line, evicting the victim; may queue a writeback. */
     void installLine(Addr line, bool dirty, bool prefetched);
@@ -243,7 +280,7 @@ class Cache final : public Component,
     bool processRequest(const CacheReq &req);
 
     /**
-     * Why processRequest(queue_.front()) would stall this cycle
+     * Why processRequest(queueHead()) would stall this cycle
      * (kNone = it would make progress). Mirrors processRequest's stall
      * paths exactly; shared by quiescent() and skipCycles() so skipped
      * stall counters match the naive loop's bit-for-bit.
@@ -263,38 +300,10 @@ class Cache final : public Component,
     void skipCyclesSlow(Cycle n);
 
     /**
-     * One-decision memo: quiescent() stores the headStall() it computed
-     * so the skipCycles() that immediately follows (same cycle, no
-     * intervening state change) reuses it instead of re-scanning the
-     * MSHRs. Consumed-and-cleared by skipCycles(); never carried across
-     * cycles because downstream queue space can change without this
-     * cache seeing a call.
-     */
-    mutable HeadStall memoStall_ = HeadStall::kNone;
-    mutable bool memoValid_ = false;
-
-    /**
-     * Cross-cycle memo of headStall()'s *own-state* part: everything
-     * the classification reads except downstream queue space (tag
-     * store, MSHR occupancy, the head request) only changes through
-     * this cache's own entry points, so the expensive scans run once
-     * per state change instead of once per scheduler query. kForward
-     * ("would allocate and forward") still rechecks the downstream
-     * port on every query — that state changes behind our back.
-     */
-    enum class SelfClass : std::uint8_t
-    {
-        kNone,     //!< head would make progress regardless of downstream
-        kMshrFull, //!< MSHR or coalesce-target structural stall
-        kForward,  //!< would forward if the downstream port accepts
-    };
-    mutable SelfClass selfClass_ = SelfClass::kNone;
-    mutable bool selfValid_ = false;
-
-    /**
      * Cross-cycle memo of the whole quiescent() verdict, so the common
      * long-lived idle shapes cost one compare per scheduler query:
-     *  - kTimed: idle (or head not yet due) until sleepUntil_; every
+     *  - kTimed: idle (or head not yet due) until sleepUntil_, or a
+     *    due head stalled on MSHRs (sleepUntil_ = kNeverCycle); every
      *    state the verdict reads only moves through this cache's entry
      *    points, which clear the memo.
      *  - kBlocked: head due but stalled on a full downstream port;
@@ -319,16 +328,26 @@ class Cache final : public Component,
     void issuePrefetches();
     void drainWritebacks();
 
+    const Pending &queueHead() const { return queue_[queueFront_]; }
+
     const Config cfg_;
     PortSlot<CacheReq> downstream_{"downstream"};
     std::unique_ptr<Prefetcher> prefetcher_;
     std::vector<Cache *> children_;
 
     unsigned numSets_;
-    std::vector<std::vector<Way>> sets_;
+    std::vector<Way> ways_; //!< numSets_ x assoc, set-major
     std::vector<Mshr> mshrs_;
+    std::vector<std::uint64_t> freeMshrs_; //!< bit set = MSHR free
     unsigned mshrsInUse_ = 0; //!< live entries in mshrs_ (O(1) busy())
-    std::deque<Pending> queue_;
+    //! Open-addressed line -> MSHR map, linear probing, at most half
+    //! full (power of two >= 2 x mshrs), so probes stay short.
+    std::vector<IndexSlot> index_;
+    unsigned indexShift_; //!< 64 - log2(index_.size())
+    //! Input queue: a ring of cfg_.queueSize entries.
+    std::vector<Pending> queue_;
+    unsigned queueFront_ = 0; //!< slot of the oldest entry
+    unsigned queueLen_ = 0;
     std::deque<Addr> writebacks_; //!< dirty victim lines awaiting drain
     std::uint64_t popCount_ = 0;  //!< input-queue departures (popCount)
 

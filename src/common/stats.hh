@@ -2,18 +2,15 @@
  * @file
  * Lightweight named statistics.
  *
- * Components own Counter / Average members and register them with a
- * StatGroup so run harnesses can dump everything by name. The accessors
- * are trivially inlined; updating a stat is a single add.
+ * Components own Counter members and register them with the
+ * StatRegistry (sim/stat_registry.hh), which names and dumps them.
+ * Updating a stat is a single add.
  */
 
 #ifndef DX_COMMON_STATS_HH
 #define DX_COMMON_STATS_HH
 
 #include <cstdint>
-#include <string>
-#include <utility>
-#include <vector>
 
 namespace dx
 {
@@ -30,64 +27,6 @@ class Counter
 
   private:
     std::uint64_t value_ = 0;
-};
-
-/** Accumulates a sum and a sample count; reports their mean. */
-class Average
-{
-  public:
-    void
-    sample(double v)
-    {
-        sum_ += v;
-        ++count_;
-    }
-
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    std::uint64_t samples() const { return count_; }
-
-    void
-    reset()
-    {
-        sum_ = 0.0;
-        count_ = 0;
-    }
-
-  private:
-    double sum_ = 0.0;
-    std::uint64_t count_ = 0;
-};
-
-/**
- * A flat name -> value map used to report a finished run. Values are
- * doubles; integral counters are converted on insertion.
- */
-class StatDump
-{
-  public:
-    void
-    add(std::string name, double value)
-    {
-        entries_.emplace_back(std::move(name), value);
-    }
-
-    /** Look up a stat; panics if absent (tests rely on presence). */
-    double get(const std::string &name) const;
-
-    /** True if the stat exists. */
-    bool has(const std::string &name) const;
-
-    const std::vector<std::pair<std::string, double>> &
-    entries() const
-    {
-        return entries_;
-    }
-
-    /** Render as "name = value" lines. */
-    std::string toString() const;
-
-  private:
-    std::vector<std::pair<std::string, double>> entries_;
 };
 
 } // namespace dx

@@ -155,12 +155,18 @@ statsToJson(const RunStats &s)
     return os.str();
 }
 
+// Bump whenever a RunStats field changes meaning, so entries written by
+// an older model miss the cache instead of being served. v2:
+// coalescingFactor aggregates over every DX100 instance.
+constexpr int kStatsCacheVersion = 2;
+
 std::filesystem::path
 cachePath(const std::string &cacheDir, const std::string &workload,
           const std::string &configTag, double scale)
 {
     std::ostringstream key;
-    key << workload << "_" << configTag << "_s" << scale << ".stats";
+    key << workload << "_" << configTag << "_s" << scale << "_v"
+        << kStatsCacheVersion << ".stats";
     return std::filesystem::path(cacheDir) / key.str();
 }
 
@@ -244,29 +250,6 @@ runWorkloadOnce(wl::Workload &w, const SystemConfig &cfg)
     if (!w.verify(sys))
         dx_fatal("workload ", w.name(), " failed verification");
     maybeDumpStatsJson(sys);
-    return stats;
-}
-
-RunStats
-runWorkload(const wl::WorkloadEntry &entry, const SystemConfig &cfg,
-            const std::string &configTag, const ExpOptions &opt)
-{
-    const std::filesystem::path path =
-        cachePath(opt.cacheDir, entry.name, configTag, opt.scale);
-
-    if (opt.useCache) {
-        if (auto cached = loadCachedStats(path)) {
-            dx_inform("[cached] ", entry.name, " ", configTag);
-            return *cached;
-        }
-    }
-
-    dx_inform("[run] ", entry.name, " ", configTag, " ...");
-    auto w = entry.make(wl::Scale{opt.scale});
-    const RunStats stats = runWorkloadOnce(*w, cfg);
-
-    if (opt.useCache)
-        storeCachedStats(path, stats);
     return stats;
 }
 

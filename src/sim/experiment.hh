@@ -50,7 +50,10 @@ std::optional<RunStats> parseStats(const std::string &text);
 /** Render RunStats as a flat JSON object, full double precision. */
 std::string statsToJson(const RunStats &s);
 
-/** Cache file for a (workload, config tag, scale) cell. */
+/**
+ * Cache file for a (workload, config tag, scale) cell, versioned so a
+ * change in what a RunStats field means retires the old entries.
+ */
 std::filesystem::path cachePath(const std::string &cacheDir,
                                 const std::string &workload,
                                 const std::string &configTag,
@@ -65,16 +68,6 @@ std::optional<RunStats> loadCachedStats(const std::filesystem::path &p);
  * concurrent reader never observes a partial entry.
  */
 void storeCachedStats(const std::filesystem::path &p, const RunStats &s);
-
-/**
- * Run @p entry on a system built from @p cfg (tagged @p configTag for
- * the cache), verifying the output. Results are cached per
- * (workload, tag, scale).
- */
-RunStats runWorkload(const wl::WorkloadEntry &entry,
-                     const SystemConfig &cfg,
-                     const std::string &configTag,
-                     const ExpOptions &opt);
 
 /** Run a concrete Workload instance without caching. */
 RunStats runWorkloadOnce(wl::Workload &w, const SystemConfig &cfg);

@@ -83,6 +83,13 @@ SystemConfig::validate() const
                  "(core cycles per controller cycle)");
 }
 
+unsigned
+SystemConfig::dx100InstanceFor(unsigned coreId) const
+{
+    dx_assert(dx100Instances > 0, "no DX100 instance to serve a core");
+    return coreId / ((cores + dx100Instances - 1) / dx100Instances);
+}
+
 SystemConfig::SystemConfig()
 {
     l1.name = "L1D";
@@ -271,12 +278,8 @@ System::~System()
 dx100::Dx100 *
 System::dx100For(unsigned coreId)
 {
-    if (dxs_.empty())
-        return nullptr;
-    const unsigned coresPerInst =
-        (cfg_.cores + static_cast<unsigned>(dxs_.size()) - 1) /
-        static_cast<unsigned>(dxs_.size());
-    return dxs_[coreId / coresPerInst].get();
+    return dxs_.empty() ? nullptr
+                        : dxs_[cfg_.dx100InstanceFor(coreId)].get();
 }
 
 dx100::Dx100 *
@@ -295,12 +298,9 @@ System::runtime(unsigned instance)
 runtime::Dx100Runtime *
 System::runtimeFor(unsigned coreId)
 {
-    if (runtimes_.empty())
-        return nullptr;
-    const unsigned coresPerInst =
-        (cfg_.cores + static_cast<unsigned>(runtimes_.size()) - 1) /
-        static_cast<unsigned>(runtimes_.size());
-    return runtimes_[coreId / coresPerInst].get();
+    return runtimes_.empty()
+               ? nullptr
+               : runtimes_[cfg_.dx100InstanceFor(coreId)].get();
 }
 
 void
@@ -507,12 +507,19 @@ System::collectStats() const
         s.l2Mpki = l2m / kilo;
     }
 
+    // Coalescing aggregates the raw counters over every instance and
+    // divides once, with the arithmetic of
+    // Dx100::Stats::coalescingFactor(), so one instance reads the same.
+    std::uint64_t words = 0;
+    std::uint64_t columns = 0;
     for (const auto &d : dxs_) {
         s.dxInstructions +=
             r.intValue(d->path() + ".instructionsRetired");
-        s.coalescingFactor =
-            r.value(d->path() + ".rowtable.coalescingFactor");
+        words += r.intValue(d->path() + ".rowtable.words");
+        columns += r.intValue(d->path() + ".rowtable.columns");
     }
+    s.coalescingFactor =
+        columns ? static_cast<double>(words) / columns : 0.0;
     return s;
 }
 

@@ -81,6 +81,13 @@ struct SystemConfig
      */
     void validate() const;
 
+    /**
+     * DX100 instance serving core @p coreId: cores are split into
+     * contiguous blocks of ceil(cores / dx100Instances), one block per
+     * instance. Requires dx100Instances > 0.
+     */
+    unsigned dx100InstanceFor(unsigned coreId) const;
+
     /** Baseline (Table 3): 10 MB LLC, no accelerator. */
     static SystemConfig baseline(unsigned cores = 4);
 

@@ -100,11 +100,9 @@ TopologyBuilder::build(Component &root) const
 
     // Core <-> DX100 MMIO multiplexing, contiguous blocks of cores.
     if (!t.dxs.empty()) {
-        const unsigned coresPerInst =
-            (cfg_.cores + static_cast<unsigned>(t.dxs.size()) - 1) /
-            static_cast<unsigned>(t.dxs.size());
         for (unsigned i = 0; i < cfg_.cores; ++i)
-            t.cores[i]->setMmioDevice(t.dxs[i / coresPerInst].get());
+            t.cores[i]->setMmioDevice(
+                t.dxs[cfg_.dx100InstanceFor(i)].get());
     }
 
     root.adopt(*t.llc);

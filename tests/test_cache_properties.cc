@@ -2,13 +2,17 @@
  * @file
  * Parameterized cache property tests: monotonicity of miss rates in
  * capacity and associativity, write-back conservation (dirty data is
- * never lost), and inclusive-hierarchy invariants under random
- * traffic.
+ * never lost), inclusive-hierarchy invariants under random traffic,
+ * and the MSHR bookkeeping (line index, lowest-free tags, coalescing
+ * and stall decisions) against a reference model.
  */
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
+#include <optional>
+#include <set>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -202,3 +206,179 @@ TEST(CacheProperties, InclusiveHierarchyNeverHoldsLineAboveLlc)
         }
     }
 }
+
+namespace
+{
+
+/** Downstream stub: accepts every fetch; fills arrive only on demand. */
+struct FetchRecorder : public CachePort
+{
+    std::vector<CacheReq> fetches;
+    bool canAccept() const override { return true; }
+    void request(const CacheReq &req) override { fetches.push_back(req); }
+};
+
+struct CountingSink : public CacheRespSink
+{
+    std::uint64_t done = 0;
+    void complete(const std::uint64_t &) override { ++done; }
+};
+
+class MshrIndex : public ::testing::TestWithParam<unsigned>
+{
+};
+
+} // namespace
+
+TEST_P(MshrIndex, OutOfOrderFillsMatchModel)
+{
+    const unsigned mshrs = GetParam();
+    const unsigned targetsPerMshr = 2;
+    FetchRecorder down;
+    Cache::Config cfg;
+    cfg.sizeBytes = 16 * 1024;
+    cfg.assoc = 4;
+    cfg.latency = 1;
+    cfg.width = 1;
+    cfg.mshrs = mshrs;
+    cfg.targetsPerMshr = targetsPerMshr;
+    Cache cache(cfg, &down);
+    CountingSink sink;
+
+    // Lines 1 MiB apart share one cache set. With 16 or 256 MSHRs the
+    // index is up to half full, so probe-run collisions are likely and
+    // an erase without the backward shift fails this test. With 1 MSHR
+    // no collision is possible; that case checks the tag and stall
+    // rules alone.
+    std::vector<Addr> pool;
+    for (unsigned k = 0; k < 2 * mshrs + 3; ++k)
+        pool.push_back(Addr{k} << 20);
+
+    // Reference model: live MSHRs by line, and the free tags.
+    struct Live
+    {
+        std::uint64_t tag;
+        unsigned targets;
+    };
+    std::map<Addr, Live> live;
+    std::set<std::uint64_t> freeTags;
+    for (unsigned i = 0; i < mshrs; ++i)
+        freeTags.insert(i);
+
+    enum class Outcome { kAlloc, kCoalesce, kTargetStall, kFullStall };
+    std::map<Outcome, unsigned> seen;
+    std::optional<Addr> head; // the request at the queue head, if any
+    std::uint64_t sent = 0;
+    std::uint64_t filled = 0; // completions the sink should have seen
+
+    auto fill = [&](std::map<Addr, Live>::iterator it) {
+        const Addr line = it->first;
+        cache.complete(it->second.tag);
+        filled += it->second.targets;
+        EXPECT_EQ(sink.done, filled);
+        EXPECT_TRUE(cache.tagsHold(line));
+        // With the line dropped from the tag store, only a stale index
+        // entry could still report it.
+        cache.invalidateLine(line);
+        EXPECT_FALSE(cache.containsLine(line)) << std::hex << line;
+        freeTags.insert(it->second.tag);
+        live.erase(it);
+        for (const auto &[l, m] : live)
+            EXPECT_TRUE(cache.containsLine(l)) << std::hex << l;
+    };
+
+    Rng rng(mshrs);
+    bool stalled = false; // the head stalled on the last tick
+    for (int step = 0; step < 8000; ++step) {
+        if (!head && rng.below(4) != 0) {
+            CacheReq req;
+            req.addr = pool[rng.below(pool.size())];
+            req.tag = sent++;
+            req.sink = &sink;
+            ASSERT_TRUE(cache.canAccept());
+            cache.request(req);
+            head = req.addr;
+        }
+        // Fills are rare, so the MSHRs fill up, except that a stalled
+        // head soon sees one — often of the very line it waits on.
+        if (!live.empty() && rng.below(stalled ? 2 : 16) == 0) {
+            auto it = head ? live.find(*head) : live.end();
+            if (it == live.end() || rng.below(2))
+                it = std::next(live.begin(),
+                               static_cast<long>(rng.below(live.size())));
+            fill(it);
+        }
+        if (!head) {
+            cache.tick();
+            continue;
+        }
+
+        Outcome expect;
+        const auto it = live.find(*head);
+        if (it != live.end()) {
+            expect = it->second.targets < targetsPerMshr
+                         ? Outcome::kCoalesce
+                         : Outcome::kTargetStall;
+        } else {
+            expect = freeTags.empty() ? Outcome::kFullStall
+                                      : Outcome::kAlloc;
+        }
+        const std::size_t fetches = down.fetches.size();
+        const std::uint64_t pops = cache.popCount();
+        const std::uint64_t coalesced =
+            cache.stats().mshrCoalesced.value();
+        const std::uint64_t stalls = cache.stats().stallMshrFull.value();
+        cache.tick();
+        ++seen[expect];
+        stalled = expect == Outcome::kTargetStall ||
+                  expect == Outcome::kFullStall;
+
+        switch (expect) {
+          case Outcome::kAlloc:
+            ASSERT_EQ(down.fetches.size(), fetches + 1);
+            EXPECT_EQ(lineAlign(down.fetches.back().addr), *head);
+            // The downstream tag is always the lowest free MSHR.
+            EXPECT_EQ(down.fetches.back().tag, *freeTags.begin());
+            live[*head] = {down.fetches.back().tag, 1};
+            freeTags.erase(freeTags.begin());
+            EXPECT_TRUE(cache.containsLine(*head));
+            break;
+          case Outcome::kCoalesce:
+            EXPECT_EQ(down.fetches.size(), fetches);
+            EXPECT_EQ(cache.stats().mshrCoalesced.value(), coalesced + 1);
+            ++live[*head].targets;
+            break;
+          case Outcome::kTargetStall:
+          case Outcome::kFullStall:
+            EXPECT_EQ(down.fetches.size(), fetches);
+            EXPECT_EQ(cache.stats().stallMshrFull.value(), stalls + 1);
+            EXPECT_EQ(cache.popCount(), pops);
+            continue; // the head stays put and retries
+        }
+        EXPECT_EQ(cache.popCount(), pops + 1);
+        head.reset();
+    }
+
+    // Every decision kind must actually have been exercised.
+    EXPECT_GT(seen[Outcome::kAlloc], 0u);
+    EXPECT_GT(seen[Outcome::kCoalesce], 0u);
+    EXPECT_GT(seen[Outcome::kTargetStall], 0u);
+    EXPECT_GT(seen[Outcome::kFullStall], 0u);
+
+    // Drain: once every fill is answered the head (if any) allocates
+    // and, filled too, leaves each request sent answered exactly once.
+    while (!live.empty())
+        fill(live.begin());
+    if (head) {
+        cache.tick();
+        ASSERT_FALSE(down.fetches.empty());
+        EXPECT_EQ(lineAlign(down.fetches.back().addr), *head);
+        EXPECT_EQ(down.fetches.back().tag, 0u);
+        cache.complete(down.fetches.back().tag);
+    }
+    EXPECT_FALSE(cache.busy());
+    EXPECT_EQ(sink.done, sent);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, MshrIndex,
+                         ::testing::Values(1u, 3u, 16u, 256u));

@@ -11,8 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -22,6 +24,7 @@
 #include "sim/component.hh"
 #include "sim/stat_registry.hh"
 #include "sim/system.hh"
+#include "workloads/micro.hh"
 
 using namespace dx;
 using namespace dx::sim;
@@ -207,11 +210,43 @@ TEST(ComponentTree, Dx100Topology)
 
 TEST(ComponentTree, MultiInstanceDx100Names)
 {
-    System sys(SystemConfig::withDx100(4, 2));
+    const SystemConfig cfg = SystemConfig::withDx100(4, 2);
+    System sys(cfg);
     ASSERT_NE(sys.dx100(1), nullptr);
     EXPECT_EQ(sys.dx100(0)->path(), "system.dx100_0");
     EXPECT_EQ(sys.dx100(1)->path(), "system.dx100_1");
     auditPorts(sys);
+
+    // Cores split into contiguous blocks, one block per instance.
+    for (unsigned c = 0; c < cfg.cores; ++c)
+        EXPECT_EQ(cfg.dx100InstanceFor(c), c / 2) << "core " << c;
+
+    // The run-level coalescing factor aggregates every instance: total
+    // words over total columns, not the last instance's own ratio.
+    // 1009 words split unevenly, so the two instances coalesce
+    // differently (about 15.3 and 14.8 words per column).
+    wl::GatherMicro w(wl::GatherMicro::Mode::kFull, 1009);
+    w.init(sys);
+    std::vector<std::unique_ptr<cpu::Kernel>> kernels;
+    for (unsigned c = 0; c < sys.cores(); ++c) {
+        kernels.push_back(w.makeKernel(sys, c, true));
+        sys.setKernel(c, kernels.back().get());
+    }
+    const RunStats r = sys.run();
+    ASSERT_TRUE(w.verify(sys));
+
+    std::uint64_t words = 0;
+    std::uint64_t columns = 0;
+    for (unsigned i = 0; i < 2; ++i) {
+        const auto &s = sys.dx100(i)->stats();
+        EXPECT_GT(s.indirectColumns.value(), 0u) << "instance " << i;
+        words += s.indirectWords.value();
+        columns += s.indirectColumns.value();
+    }
+    EXPECT_DOUBLE_EQ(r.coalescingFactor,
+                     static_cast<double>(words) / columns);
+    EXPECT_NE(sys.dx100(1)->stats().coalescingFactor(),
+              r.coalescingFactor);
 }
 
 TEST(ComponentTree, DmpTopology)

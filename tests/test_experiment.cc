@@ -287,6 +287,9 @@ TEST(StatsCache, KeysSeparateWorkloadConfigAndScale)
     EXPECT_NE(base, cachePath(d, "WL2", "cfg", 0.5));
     EXPECT_NE(base, cachePath(d, "WL", "cfg2", 0.5));
     EXPECT_NE(base, cachePath(d, "WL", "cfg", 0.25));
+    // Entries written before RunStats was versioned (coalescingFactor
+    // then meant the last DX100 instance's ratio) must miss.
+    EXPECT_NE(base.filename(), "WL_cfg_s0.5.stats");
 }
 
 // ---------------------------------------------------------------------
