@@ -763,12 +763,16 @@ Dx100::indirectTick(IndirectUnit &u)
     u.waitIdle = false;
     const bool consumed = indirectResponses(u);
     const auto [wrSent, wrBlocked] = indirectWrites(u);
+    // Fill's verdict as the request stage sees it: a slice-full stall
+    // found by fill later in this tick only starts the drain next tick.
+    const bool wasBlocked = u.fillBlocked;
     const auto [rqSent, rqBlocked] = indirectRequests(u);
     // Captured before fill runs: requests are issued earlier in the
     // tick than fill, so "drain phase moved nothing" may only be
-    // concluded when the request stage already saw the completed fill.
-    // On the very cycle fill finishes (or inserts anything), the next
-    // tick can send the new columns and must not be skipped.
+    // concluded when the request stage already saw the completed fill
+    // (or the slice-full stall). On the very cycle fill finishes,
+    // first stalls, or inserts anything, the next tick can send new
+    // columns and must not be skipped.
     const bool wasDrainDone = u.fillPos >= u.n;
     bool fillStallOnly = false;
     if (u.fillPos < u.n) {
@@ -779,7 +783,7 @@ Dx100::indirectTick(IndirectUnit &u)
         // A slice-full retry that advanced nothing: re-running it only
         // bumps fillStallCycles and re-hits the same TLB page, both of
         // which skipCycles() accounts closed-form.
-        fillStallOnly = u.fillBlocked && !stalled0 &&
+        fillStallOnly = wasBlocked && u.fillBlocked && !stalled0 &&
                         u.tlbStall == 0 && u.fillPos == pos0 &&
                         u.skippedAtFill == skip0;
     }

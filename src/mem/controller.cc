@@ -1,6 +1,7 @@
 #include "mem/controller.hh"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 
 #include "common/logging.hh"
@@ -9,12 +10,37 @@
 namespace dx::mem
 {
 
+namespace
+{
+
+constexpr std::uint64_t
+bankBit(unsigned b)
+{
+    return std::uint64_t{1} << b;
+}
+
+/** Oldest entry of @p queue queued for one of @p banks (non-empty). */
+template <typename Queue>
+auto
+oldestIn(Queue &queue, std::uint64_t banks)
+{
+    const auto it = std::find_if(
+        queue.begin(), queue.end(),
+        [banks](const auto &e) { return (banks & bankBit(e.bank)) != 0; });
+    dx_assert(it != queue.end(), "bank queued count without an entry");
+    return it;
+}
+
+} // namespace
+
 MemoryController::MemoryController(const Config &cfg, unsigned channelId)
     : Component("ch" + std::to_string(channelId)),
       cfg_(cfg), channel_(channelId),
       banks_(cfg.geom.banksPerChannel()),
       nextRefresh_(cfg.timings.tREFI)
 {
+    dx_assert(!banks_.empty() && banks_.size() <= 64,
+              "a channel needs 1..64 banks (the bank masks are 64 bits)");
     readQueue_.reserve(cfg.readQueueSize);
     writeQueue_.reserve(cfg.writeQueueSize);
 }
@@ -41,15 +67,21 @@ MemoryController::enqueue(const MemRequest &req)
     Entry e;
     e.req = req;
     e.req.enqueued = now_;
+    e.bank = static_cast<std::uint8_t>(req.coord.bankInChannel(cfg_.geom));
     (req.write ? writeQueue_ : readQueue_).push_back(e);
+
+    Bank &bank = banks_[e.bank];
+    if (bank.queued[req.write]++ == 0)
+        busyBanks_[req.write] |= bankBit(e.bank);
+    if (bank.openRow == static_cast<std::int64_t>(req.coord.row))
+        ++bank.rowHits[req.write];
 
     // An enqueue only *adds* command candidates, so the cached hint
     // remains a conservative-early bound for everything already
-    // queued; fold in a bound for the new entry instead of reingesting
-    // both queues. Row-hit pinning is ignored here — it can only delay
+    // queued; fold in a bound for the new entry instead of rescanning
+    // the banks. Row-hit pinning is ignored here — it can only delay
     // the entry, and the hint may run early, never late.
     if (eventHintValid_) {
-        const Bank &bank = banks_[flatBankFor(req.coord)];
         Cycle ev;
         if (bank.openRow == static_cast<std::int64_t>(req.coord.row))
             ev = req.write ? bank.nextWr : bank.nextRd;
@@ -67,18 +99,6 @@ bool
 MemoryController::idle() const
 {
     return readQueue_.empty() && writeQueue_.empty() && pending_.empty();
-}
-
-MemoryController::Bank &
-MemoryController::bankFor(const DramCoord &c)
-{
-    return banks_[c.bankInChannel(cfg_.geom)];
-}
-
-unsigned
-MemoryController::flatBankFor(const DramCoord &c) const
-{
-    return c.bankInChannel(cfg_.geom);
 }
 
 bool
@@ -132,7 +152,6 @@ MemoryController::tick()
 
     if (tryRefresh()) {
         eventHintValid_ = false;
-        idleStreak_ = 0;
         return;
     }
 
@@ -161,10 +180,6 @@ MemoryController::tick()
     // awake until the next productive tick.
     if (productive || (eventHintValid_ && eventHint_ <= now_))
         eventHintValid_ = false;
-    if (productive)
-        idleStreak_ = 0;
-    else if (idleStreak_ < 2)
-        ++idleStreak_;
 }
 
 bool
@@ -181,11 +196,11 @@ MemoryController::tryRefresh()
     // Close all open rows, one PRE per cycle, then issue REF once every
     // bank is precharged and its tRP has elapsed.
     bool allClosed = true;
-    for (auto &bank : banks_) {
-        if (bank.openRow >= 0) {
+    for (unsigned b = 0; b < banks_.size(); ++b) {
+        if (banks_[b].openRow >= 0) {
             allClosed = false;
-            if (bank.nextPre <= now_) {
-                issuePre(bank);
+            if (banks_[b].nextPre <= now_) {
+                issuePre(b);
                 return true;
             }
         }
@@ -217,111 +232,119 @@ MemoryController::tryIssueFrom(std::vector<Entry> &queue, bool writes)
             --readCredit_;
         return true;
     }
-    if (tryActivate(queue))
+    if (tryActivate(queue, writes))
         return true;
-    return tryPrecharge(queue);
+    return tryPrecharge(queue, writes);
+}
+
+template <typename Pred>
+std::uint64_t
+MemoryController::banksWhere(bool writes, Pred pred) const
+{
+    std::uint64_t out = 0;
+    for (std::uint64_t m = busyBanks_[writes]; m; m &= m - 1) {
+        const unsigned b = static_cast<unsigned>(std::countr_zero(m));
+        if (pred(banks_[b]))
+            out |= bankBit(b);
+    }
+    return out;
 }
 
 bool
 MemoryController::tryColumn(std::vector<Entry> &queue, bool writes)
 {
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-        Entry &e = queue[i];
-        Bank &bank = bankFor(e.req.coord);
-        if (bank.openRow != static_cast<std::int64_t>(e.req.coord.row))
-            continue;
-        const Cycle ready = writes ? bank.nextWr : bank.nextRd;
-        if (ready > now_)
-            continue;
+    // Banks holding a queued row hit whose column timer has expired.
+    const std::uint64_t ready = banksWhere(writes, [&](const Bank &b) {
+        return b.rowHits[writes] && (writes ? b.nextWr : b.nextRd) <= now_;
+    });
+    if (!ready)
+        return false;
 
-        if (writes)
-            issueWrite(e);
-        else
-            issueRead(e);
+    const auto it = std::find_if(queue.begin(), queue.end(),
+                                 [&](const Entry &e) {
+        return (ready & bankBit(e.bank)) &&
+               banks_[e.bank].openRow ==
+                   static_cast<std::int64_t>(e.req.coord.row);
+    });
+    dx_assert(it != queue.end(), "row-hit count without a hit entry");
+    Entry &e = *it;
+    Bank &bank = banks_[e.bank];
 
-        if (e.neededAct)
-            ++stats_.rowMisses;
-        else
-            ++stats_.rowHits;
+    if (writes)
+        issueWrite(e);
+    else
+        issueRead(e);
 
-        queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(i));
-        ++dequeues_; // a waiter upstream may be watching for space
-        if (dequeueMirror_)
-            ++*dequeueMirror_;
-        return true;
-    }
-    return false;
+    if (e.neededAct)
+        ++stats_.rowMisses;
+    else
+        ++stats_.rowHits;
+
+    --bank.rowHits[writes];
+    if (--bank.queued[writes] == 0)
+        busyBanks_[writes] &= ~bankBit(e.bank);
+    queue.erase(it);
+    ++dequeues_; // a waiter upstream may be watching for space
+    if (dequeueMirror_)
+        ++*dequeueMirror_;
+    return true;
 }
 
 bool
-MemoryController::tryActivate(std::vector<Entry> &queue)
+MemoryController::tryActivate(std::vector<Entry> &queue, bool writes)
 {
-    for (auto &e : queue) {
-        Bank &bank = bankFor(e.req.coord);
-        if (bank.openRow >= 0)
-            continue;
-        if (bank.nextAct > now_ || !actAllowedByFaw())
-            continue;
-        issueAct(bank, e.req.coord.row, e.req.coord.bankGroup);
-        e.neededAct = true;
-        // Sibling requests to the same (bank, row) become row hits and
-        // need no flag; requests to other rows of this bank will conflict.
-        return true;
-    }
-    return false;
+    if (fawReadyAt() > now_)
+        return false;
+    // Closed banks with queued entries whose ACT timer has expired.
+    const std::uint64_t ready = banksWhere(writes, [&](const Bank &b) {
+        return b.openRow < 0 && b.nextAct <= now_;
+    });
+    if (!ready)
+        return false;
+
+    const auto it = oldestIn(queue, ready);
+    issueAct(it->bank, it->req.coord.row, it->req.coord.bankGroup);
+    it->neededAct = true;
+    // Sibling requests to the same (bank, row) become row hits and
+    // need no flag; requests to other rows of this bank will conflict.
+    return true;
 }
 
 bool
-MemoryController::tryPrecharge(std::vector<Entry> &queue)
+MemoryController::tryPrecharge(std::vector<Entry> &queue, bool writes)
 {
-    for (auto &e : queue) {
-        Bank &bank = bankFor(e.req.coord);
-        if (bank.openRow < 0 ||
-            bank.openRow == static_cast<std::int64_t>(e.req.coord.row)) {
-            continue;
-        }
-        if (bank.nextPre > now_)
-            continue;
-        // FR-FCFS: do not close a row that still has pending hits in
-        // the queue currently being served. (Only that queue: letting
-        // the idle queue's hits pin rows open deadlocks the drain.)
-        if (rowHitPendingFor(queue, bank, flatBankFor(e.req.coord)))
-            continue;
-        issuePre(bank);
-        ++stats_.rowConflicts;
-        return true;
-    }
-    return false;
-}
+    // Open banks whose every queued entry conflicts. FR-FCFS: a row
+    // with a pending hit in the queue being served stays open. (Only
+    // that queue: letting the idle queue's hits pin rows open
+    // deadlocks the drain.)
+    const std::uint64_t ready = banksWhere(writes, [&](const Bank &b) {
+        return b.openRow >= 0 && b.rowHits[writes] == 0 &&
+               b.nextPre <= now_;
+    });
+    if (!ready)
+        return false;
 
-bool
-MemoryController::rowHitPendingFor(const std::vector<Entry> &queue,
-                                   const Bank &bank,
-                                   unsigned flatBank) const
-{
-    for (const auto &e : queue) {
-        if (flatBankFor(e.req.coord) == flatBank &&
-            static_cast<std::int64_t>(e.req.coord.row) ==
-                bank.openRow) {
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-MemoryController::actAllowedByFaw() const
-{
-    return actWindow_.size() < 4 ||
-           now_ >= actWindow_.front() + cfg_.timings.tFAW;
+    issuePre(oldestIn(queue, ready)->bank);
+    ++stats_.rowConflicts;
+    return true;
 }
 
 void
-MemoryController::issueAct(Bank &bank, std::uint32_t row,
+MemoryController::issueAct(unsigned b, std::uint32_t row,
                            std::uint16_t bankGroup)
 {
     const auto &t = cfg_.timings;
+    Bank &bank = banks_[b];
     bank.openRow = row;
+    // The new row's queued hits, in both queues.
+    for (const bool writes : {false, true}) {
+        unsigned hits = 0;
+        if (bank.queued[writes]) {
+            for (const Entry &e : writes ? writeQueue_ : readQueue_)
+                hits += e.bank == b && e.req.coord.row == row;
+        }
+        bank.rowHits[writes] = hits;
+    }
     bank.nextRd = std::max(bank.nextRd, now_ + t.tRCD);
     bank.nextWr = std::max(bank.nextWr, now_ + t.tRCD);
     bank.nextPre = std::max(bank.nextPre, now_ + t.tRAS);
@@ -329,10 +352,10 @@ MemoryController::issueAct(Bank &bank, std::uint32_t row,
 
     // tRRD spacing to every other bank, by bank-group affinity.
     const unsigned perGroup = cfg_.geom.banksPerGroup;
-    for (unsigned b = 0; b < banks_.size(); ++b) {
-        const unsigned bg = (b / perGroup) % cfg_.geom.bankGroups;
+    for (unsigned o = 0; o < banks_.size(); ++o) {
+        const unsigned bg = (o / perGroup) % cfg_.geom.bankGroups;
         const unsigned gap = (bg == bankGroup) ? t.tRRD_L : t.tRRD_S;
-        banks_[b].nextAct = std::max(banks_[b].nextAct, now_ + gap);
+        banks_[o].nextAct = std::max(banks_[o].nextAct, now_ + gap);
     }
 
     actWindow_.push_back(now_);
@@ -342,9 +365,11 @@ MemoryController::issueAct(Bank &bank, std::uint32_t row,
 }
 
 void
-MemoryController::issuePre(Bank &bank)
+MemoryController::issuePre(unsigned b)
 {
+    Bank &bank = banks_[b];
     bank.openRow = -1;
+    bank.rowHits[0] = bank.rowHits[1] = 0;
     bank.nextAct = std::max(bank.nextAct, now_ + cfg_.timings.tRP);
     ++stats_.preCommands;
 }
@@ -353,7 +378,7 @@ void
 MemoryController::issueRead(Entry &e)
 {
     const auto &t = cfg_.timings;
-    Bank &bank = bankFor(e.req.coord);
+    Bank &bank = banks_[e.bank];
     bank.nextPre = std::max(bank.nextPre, now_ + t.tRTP);
 
     const unsigned perGroup = cfg_.geom.banksPerGroup;
@@ -376,7 +401,7 @@ void
 MemoryController::issueWrite(Entry &e)
 {
     const auto &t = cfg_.timings;
-    Bank &bank = bankFor(e.req.coord);
+    Bank &bank = banks_[e.bank];
     bank.nextPre = std::max(bank.nextPre, now_ + t.tCWL + t.tBL + t.tWR);
 
     const unsigned perGroup = cfg_.geom.banksPerGroup;
@@ -410,59 +435,36 @@ MemoryController::fawReadyAt() const
 Cycle
 MemoryController::earliestCommandAt() const
 {
-    const std::vector<Entry> &q = writeMode_ ? writeQueue_ : readQueue_;
+    // Per bank with entries in the served queue: a closed bank waits
+    // for its ACT (and tFAW); an open bank with a pending hit takes
+    // the column command and is pinned against PRE; any other open
+    // bank only conflicts and waits for its PRE.
+    const bool writes = writeMode_;
+    const Cycle faw = fawReadyAt();
     Cycle ev = kNeverCycle;
-
-    // Banks whose open row has a pending hit in the served queue must
-    // not be precharged from under it (mirrors tryPrecharge); the hit
-    // entry itself contributes the candidate for that bank.
-    std::uint64_t hitMask = 0;
-    const bool maskOk = banks_.size() <= 64;
-    for (const auto &e : q) {
-        const unsigned flat = flatBankFor(e.req.coord);
-        if (maskOk &&
-            banks_[flat].openRow ==
-                static_cast<std::int64_t>(e.req.coord.row)) {
-            hitMask |= std::uint64_t{1} << flat;
-        }
-    }
-
-    for (const auto &e : q) {
-        const unsigned flat = flatBankFor(e.req.coord);
-        const Bank &bank = banks_[flat];
-        if (bank.openRow ==
-            static_cast<std::int64_t>(e.req.coord.row)) {
-            ev = std::min(ev, writeMode_ ? bank.nextWr : bank.nextRd);
-        } else if (bank.openRow < 0) {
-            ev = std::min(ev, std::max(bank.nextAct, fawReadyAt()));
-        } else {
-            const bool pinned =
-                maskOk ? ((hitMask >> flat) & 1) != 0
-                       : rowHitPendingFor(q, bank, flat);
-            if (!pinned)
-                ev = std::min(ev, bank.nextPre);
-        }
+    for (std::uint64_t m = busyBanks_[writes]; m; m &= m - 1) {
+        const Bank &bank = banks_[std::countr_zero(m)];
+        if (bank.openRow < 0)
+            ev = std::min(ev, std::max(bank.nextAct, faw));
+        else if (bank.rowHits[writes])
+            ev = std::min(ev, writes ? bank.nextWr : bank.nextRd);
+        else
+            ev = std::min(ev, bank.nextPre);
     }
     return ev;
 }
 
-Cycle
-MemoryController::computeEventHint() const
+void
+MemoryController::refreshEventHint() const
 {
-    Cycle ev = kNeverCycle;
+    Cycle ev = earliestCommandAt();
     if (!pending_.empty())
         ev = std::min(ev, pending_.front().ready);
     if (cfg_.timings.refreshEnabled)
         ev = std::min(ev, refreshPending_ ? Cycle{0} : nextRefresh_);
     if (wouldToggleWriteMode())
         ev = Cycle{0};
-    return std::min(ev, earliestCommandAt());
-}
-
-void
-MemoryController::refreshEventHint() const
-{
-    eventHint_ = computeEventHint();
+    eventHint_ = ev; // 0 encodes "could act immediately"
     eventHintValid_ = true;
 }
 

@@ -10,6 +10,14 @@
  * bank/bank-group/rank timing constraints from DramTimings are enforced,
  * including tCCD_S/tCCD_L bank-group spacing, tFAW, write-to-read
  * turnaround, and periodic all-bank refresh.
+ *
+ * Scheduling is bank-indexed: per bank and queue the controller keeps
+ * the number of queued entries and how many of them hit the open row,
+ * updated only where those change (enqueue, column issue, ACT, PRE).
+ * Each command class first checks, in O(banks), whether any bank can
+ * take it this cycle, and only then walks the queue in age order to
+ * pick the oldest eligible entry, so the FR-FCFS choice is the same as
+ * a full rescan's. A channel has at most 64 banks (one 64-bit mask).
  */
 
 #ifndef DX_MEM_CONTROLLER_HH
@@ -94,31 +102,17 @@ class MemoryController final : public Component
      * would be a no-op except for the closed-form per-cycle stats
      * (cycles, occupancyAccum) — no response due, no refresh activity,
      * no write-mode toggle, no command issuable.
-     *
-     * Fast-out: a productive tick invalidated the event hint, so a
-     * probe right after one would pay a full queue/bank rescan. While
-     * the channel is streaming commands that rescan would conclude
-     * "busy" anyway, so report busy without computing the hint
-     * (conservative — a stale "false" only degrades to ticking). The
-     * streak threshold adds hysteresis: inter-command gaps of a cycle
-     * or two — the common case under bank-conflict traffic — never pay
-     * the rescan, which would buy no skip anyway; only a sustained
-     * unproductive stretch re-enables real hint probing.
      */
-    bool
-    quiescent() const override
-    {
-        return idleStreak_ >= 2 && nextEventAt() > now_ + 1;
-    }
+    bool quiescent() const override { return nextEventAt() > now_ + 1; }
 
     /**
      * Conservative earliest controller cycle at which tick() could act:
      * the head in-flight response, the next refresh deadline, a pending
-     * write-mode toggle, or the earliest bank-timer expiry of any entry
-     * in the queue currently being served. May be earlier than the true
-     * event (that only degrades to normal ticking), never later. The
-     * scan is cached and invalidated by tick()/enqueue(); the cached
-     * hint costs one compare at the call site.
+     * write-mode toggle, or the earliest command a bank with entries
+     * in the queue being served could take (earliestCommandAt). May be
+     * earlier than the true event (that only degrades to normal
+     * ticking), never later. The O(banks) scan is cached until a
+     * productive tick; an enqueue folds the new entry into the cache.
      */
     Cycle
     nextEventAt() const override
@@ -187,12 +181,17 @@ class MemoryController final : public Component
         Cycle nextPre = 0;
         Cycle nextRd = 0;
         Cycle nextWr = 0;
+        // Indexed by queue (0 reads, 1 writes): entries queued for this
+        // bank, and how many of them target openRow.
+        unsigned queued[2] = {0, 0};
+        unsigned rowHits[2] = {0, 0};
     };
 
     struct Entry
     {
         MemRequest req;
         bool neededAct = false; //!< an ACT was issued on its behalf
+        std::uint8_t bank = 0;  //!< flat bank within the channel
     };
 
     struct PendingResp
@@ -205,8 +204,13 @@ class MemoryController final : public Component
     bool tryRefresh();
     bool tryIssueFrom(std::vector<Entry> &queue, bool writes);
     bool tryColumn(std::vector<Entry> &queue, bool writes);
-    bool tryActivate(std::vector<Entry> &queue);
-    bool tryPrecharge(std::vector<Entry> &queue);
+    bool tryActivate(std::vector<Entry> &queue, bool writes);
+    bool tryPrecharge(std::vector<Entry> &queue, bool writes);
+
+    /** Mask of the banks with entries in one queue that satisfy
+     *  @p pred — the O(banks) check before any queue walk. */
+    template <typename Pred>
+    std::uint64_t banksWhere(bool writes, Pred pred) const;
 
     /**
      * The write-drain hysteresis condition, shared by tick() and the
@@ -218,26 +222,17 @@ class MemoryController final : public Component
     /** Earliest cycle the tFAW window admits another ACT. */
     Cycle fawReadyAt() const;
 
-    /** Earliest bank-timer expiry over the queue being served. */
+    /** Earliest command any bank with entries in the served queue
+     *  could take (bank timers, tFAW and the row-hit pin). */
     Cycle earliestCommandAt() const;
-
-    /** Uncached hint scan; 0 encodes "could act immediately". */
-    Cycle computeEventHint() const;
 
     /** Recompute and cache the nextEventAt() hint (slow path). */
     void refreshEventHint() const;
 
     void issueRead(Entry &e);
     void issueWrite(Entry &e);
-    void issueAct(Bank &bank, std::uint32_t row, std::uint16_t bankGroup);
-    void issuePre(Bank &bank);
-
-    bool actAllowedByFaw() const;
-    bool rowHitPendingFor(const std::vector<Entry> &queue,
-                          const Bank &bank, unsigned flatBank) const;
-
-    Bank &bankFor(const DramCoord &c);
-    unsigned flatBankFor(const DramCoord &c) const;
+    void issueAct(unsigned b, std::uint32_t row, std::uint16_t bankGroup);
+    void issuePre(unsigned b);
 
     /** Deliver due responses; true when at least one was delivered. */
     bool deliverResponses();
@@ -249,6 +244,7 @@ class MemoryController final : public Component
     std::vector<Bank> banks_;       //!< per (rank, bg, bank) in channel
     std::vector<Entry> readQueue_;
     std::vector<Entry> writeQueue_;
+    std::uint64_t busyBanks_[2] = {0, 0}; //!< per queue: queued > 0
     std::deque<PendingResp> pending_;
 
     std::uint64_t dequeues_ = 0; //!< request-buffer departures
@@ -262,14 +258,9 @@ class MemoryController final : public Component
     std::deque<Cycle> actWindow_;   //!< timestamps of recent ACTs (tFAW)
 
     // nextEventAt() cache: hint values are absolute cycles, so only
-    // state changes (tick, enqueue) invalidate — skipCycles keeps it.
+    // state changes (tick, enqueue) touch it — skipCycles keeps it.
     mutable Cycle eventHint_ = 0;
     mutable bool eventHintValid_ = false;
-
-    // Consecutive ticks with no command / delivery / refresh / toggle:
-    // quiescent() short-circuits to busy until the streak shows the
-    // channel has genuinely gone quiet (see the fast-out comment).
-    std::uint8_t idleStreak_ = 2;
 
     Stats stats_;
 };

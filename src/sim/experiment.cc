@@ -157,8 +157,9 @@ statsToJson(const RunStats &s)
 
 // Bump whenever a RunStats field changes meaning, so entries written by
 // an older model miss the cache instead of being served. v2:
-// coalescingFactor aggregates over every DX100 instance.
-constexpr int kStatsCacheVersion = 2;
+// coalescingFactor aggregates over every DX100 instance. v3: the DX100
+// fill-stall skip no longer diverges from the per-cycle loop.
+constexpr int kStatsCacheVersion = 3;
 
 std::filesystem::path
 cachePath(const std::string &cacheDir, const std::string &workload,

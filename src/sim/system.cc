@@ -81,6 +81,14 @@ SystemConfig::validate() const
     if (dram.clockRatio == 0)
         dx_fatal("SystemConfig: dram.clockRatio must be at least 1 "
                  "(core cycles per controller cycle)");
+    const mem::DramGeometry &g = dram.ctrl.geom;
+    if (g.banksPerChannel() == 0 || g.banksPerChannel() > 64)
+        dx_fatal("SystemConfig: dram ranks x bankGroups x banksPerGroup "
+                 "= ", g.ranks, " x ", g.bankGroups, " x ",
+                 g.banksPerGroup, " = ", g.banksPerChannel(),
+                 " banks per channel; it must be 1..64 (the memory "
+                 "controller tracks a channel's banks in one 64-bit "
+                 "mask) — use fewer ranks or more channels");
 }
 
 unsigned

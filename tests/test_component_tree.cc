@@ -314,6 +314,13 @@ TEST(ComponentTree, ValidateRejectsBadConfigs)
     badChannels.dram.ctrl.geom.channels = 3;
     EXPECT_THROW(badChannels.validate(), FatalError);
 
+    SystemConfig tooManyBanks; // 8 ranks x 4 x 4 = 128 banks a channel
+    tooManyBanks.dram.ctrl.geom.ranks = 8;
+    EXPECT_THROW(tooManyBanks.validate(), FatalError);
+    SystemConfig fourRanks; // 64 banks: the widest channel accepted
+    fourRanks.dram.ctrl.geom.ranks = 4;
+    fourRanks.validate();
+
     // The stock presets must all pass.
     SystemConfig::baseline(2).validate();
     SystemConfig::baseline(8).validate();

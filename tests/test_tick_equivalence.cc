@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "sim/system.hh"
 #include "workloads/micro.hh"
 #include "workloads/workload.hh"
@@ -143,12 +144,12 @@ namespace
 {
 
 RunStats
-runGather(unsigned rbhPercent, SystemConfig cfg, TickPolicy policy)
+runGather(const DramPatternParams &pat, std::size_t words,
+          SystemConfig cfg, TickPolicy policy,
+          Cycle maxCycles = Cycle{4} << 30)
 {
     cfg.tickPolicy = policy;
-    DramPatternParams pat;
-    pat.rbhPercent = rbhPercent;
-    GatherMicro w(GatherMicro::Mode::kFull, 8 * 1024, pat);
+    GatherMicro w(GatherMicro::Mode::kFull, words, pat);
     System sys(cfg);
     w.init(sys);
     std::vector<std::unique_ptr<cpu::Kernel>> kernels;
@@ -157,7 +158,11 @@ runGather(unsigned rbhPercent, SystemConfig cfg, TickPolicy policy)
             w.makeKernel(sys, c, cfg.dx100Instances > 0));
         sys.setKernel(c, kernels.back().get());
     }
-    const RunStats stats = sys.run();
+    ScopedFatalThrow fatalThrows;
+    RunStats stats;
+    EXPECT_NO_THROW(stats = sys.run(maxCycles))
+        << (policy == TickPolicy::kNaive ? "naive" : "quiescent")
+        << " run did not finish within " << maxCycles << " cycles";
     EXPECT_TRUE(w.verify(sys));
     return stats;
 }
@@ -170,15 +175,36 @@ TEST(TickEquivalenceMicro, AllMissGather)
         for (const unsigned rbh : {0u, 100u}) {
             const SystemConfig cfg = dx ? SystemConfig::withDx100()
                                         : SystemConfig::baseline();
+            DramPatternParams pat;
+            pat.rbhPercent = rbh;
             const RunStats naive =
-                runGather(rbh, cfg, TickPolicy::kNaive);
+                runGather(pat, 8 * 1024, cfg, TickPolicy::kNaive);
             const RunStats sched =
-                runGather(rbh, cfg, TickPolicy::kQuiescent);
+                runGather(pat, 8 * 1024, cfg, TickPolicy::kQuiescent);
             expectStatsIdentical(naive, sched,
                                  std::string(dx ? "dx100" : "baseline") +
                                      "/rbh" + std::to_string(rbh));
         }
     }
+}
+
+// The Indirect unit must not sleep on the tick its fill first hits a
+// full Row Table slice: the request stage ran earlier in that tick,
+// before the stall, and so did not drain. With nothing in flight no
+// response would wake it. RBH0 over 128 rows per bank fills slices at
+// 12K words; the naive loop needs about 107K cycles.
+TEST(TickEquivalenceMicro, FirstSliceFullTickDoesNotSleep)
+{
+    DramPatternParams pat;
+    pat.rbhPercent = 0;
+    pat.rowsPerBank = 128;
+    const SystemConfig cfg = SystemConfig::withDx100();
+    const Cycle limit = 1'000'000;
+    const RunStats naive =
+        runGather(pat, 12 * 1024, cfg, TickPolicy::kNaive, limit);
+    const RunStats sched =
+        runGather(pat, 12 * 1024, cfg, TickPolicy::kQuiescent, limit);
+    expectStatsIdentical(naive, sched, "dx100/rbh0/rows128");
 }
 
 // ---------------------------------------------------------------------
