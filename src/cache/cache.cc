@@ -150,19 +150,7 @@ void
 Cache::request(const CacheReq &req)
 {
     dx_assert(canAccept(), cfg_.name, ": input queue overflow");
-    if (queueLen_ == 0) {
-        // The push below becomes the new head: a kTimed "nothing until
-        // sleepUntil_" verdict tightens to the new head's service time,
-        // and any other verdict must go.
-        if (qMemo_ == QMemo::kTimed)
-            sleepUntil_ = std::min(sleepUntil_, now_ + cfg_.latency);
-        else
-            qMemo_ = QMemo::kNone;
-    }
-    // Non-empty queue: the head (and thus its stall classification and
-    // any quiescence verdict) is untouched — the queue is served in
-    // order, so an entry behind the head cannot act before it. The
-    // memo survives the arrival.
+    qMemo_ = QMemo::kNone;
     unsigned tail = queueFront_ + queueLen_;
     if (tail >= cfg_.queueSize)
         tail -= cfg_.queueSize;
@@ -506,10 +494,8 @@ Cache::headStall() const
 bool
 Cache::quiescentSlow() const
 {
-    // Memoized verdicts: nothing the slow path reads has changed since
-    // it last ran (see the QMemo member comment for the argument).
-    if (qMemo_ == QMemo::kTimed && now_ + 1 < sleepUntil_)
-        return true;
+    // A kBlocked verdict the inline fast path could not check: the
+    // downstream port aggregates its departures (no counter address).
     if (qMemo_ == QMemo::kBlocked &&
         downstream_->popCount() == blockedPops_) {
         return true;

@@ -180,8 +180,6 @@ Core::complete(const std::uint64_t &tag)
 {
     sleepValid_ = false;
     blockedValid_ = false;
-    skipMemoValid_ = false;
-    evMemoValid_ = false;
     if (tag & kStoreTag) {
         dx_assert(sqUsed_ > 0 && inflightStoreWrites_ > 0,
                   "spurious store completion");
@@ -378,8 +376,6 @@ Core::tick()
     ++now_;
     sleepValid_ = false;
     blockedValid_ = false;
-    skipMemoValid_ = false;
-    evMemoValid_ = false;
     ++stats_.cycles;
     stats_.robOccupancyAccum += robTail_ - robHead_;
     stats_.lqOccupancyAccum += lqUsed_;
@@ -421,10 +417,8 @@ Core::dispatchStall() const
 bool
 Core::quiescentSlow() const
 {
-    // Nothing that feeds the verdict below has changed since it was
-    // last proven sleep-stable (or L1-gated with no L1 departures).
-    if (sleepValid_)
-        return true;
+    // An L1-gated verdict the inline fast path could not check: the L1
+    // reports departures only through popCount(), with no address.
     if (blockedValid_ &&
         (l1PopAddr_ ? *l1PopAddr_ : l1_->popCount()) ==
             blockedPops_) {
@@ -491,7 +485,7 @@ Core::quiescentSlow() const
 }
 
 Cycle
-Core::nextEventAtSlow() const
+Core::nextEventAt() const
 {
     Cycle ev = kNeverCycle;
     if (!mmioBuffer_.empty())
@@ -503,8 +497,6 @@ Core::nextEventAtSlow() const
             ev = std::min(ev, nextPollAt_);
         }
     }
-    evMemo_ = ev;
-    evMemoValid_ = true;
     return ev;
 }
 
@@ -523,21 +515,15 @@ Core::skipCycles(Cycle n)
     }
 
     // Exactly the per-cycle counters the naive loop would have bumped
-    // while frozen in this state; the classification inputs only move
-    // through tick()/complete(), so it is memoized across skips.
-    if (!skipMemoValid_) {
-        skipWait_ = false;
-        if (robHead_ != robTail_) {
-            const RobEntry &e = entry(robHead_);
-            skipWait_ = e.state != EntryState::kComplete &&
-                        e.headBlocked && e.op.kind == OpKind::kDxWait;
+    // while frozen in this state.
+    if (robHead_ != robTail_) {
+        const RobEntry &e = entry(robHead_);
+        if (e.state != EntryState::kComplete && e.headBlocked &&
+            e.op.kind == OpKind::kDxWait) {
+            stats_.waitCycles += n;
         }
-        skipStall_ = dispatchStall();
-        skipMemoValid_ = true;
     }
-    if (skipWait_)
-        stats_.waitCycles += n;
-    switch (skipStall_) {
+    switch (dispatchStall()) {
       case DispatchStall::kRob:
         stats_.robStallCycles += n;
         break;

@@ -71,8 +71,6 @@ class Core final : public Component,
         kernel_ = kernel;
         sleepValid_ = false;
         blockedValid_ = false;
-        skipMemoValid_ = false;
-        evMemoValid_ = false;
     }
 
     /** Attach the MMIO device (DX100 instance) visible to this core. */
@@ -107,14 +105,8 @@ class Core final : public Component,
      * Earliest cycle tick() could act again without external stimulus:
      * the next MMIO delivery or kDxWait poll; kNeverCycle when only a
      * cache response can wake us. Only meaningful while quiescent().
-     * The result is absolute and reads only core-private state, so it
-     * is memoized against the same entry points as the sleep memo.
      */
-    Cycle
-    nextEventAt() const override
-    {
-        return evMemoValid_ ? evMemo_ : nextEventAtSlow();
-    }
+    Cycle nextEventAt() const override;
 
     /**
      * Closed-form advance over @p n cycles the caller has proven
@@ -216,29 +208,8 @@ class Core final : public Component,
     //! L1 pop counter, resolved once at wiring (null if untracked).
     const std::uint64_t *l1PopAddr_ = nullptr;
 
-    /**
-     * The per-cycle stall counters a skipped cycle must accrue (head
-     * kDxWait flag, dispatch stall class), memoized across skips: the
-     * inputs are core-private and frozen between the same entry points
-     * that clear sleepValid_, so they are cleared together.
-     */
-    mutable bool skipMemoValid_ = false;
-    mutable bool skipWait_ = false;
-    mutable DispatchStall skipStall_ = DispatchStall::kNone;
-
-    /**
-     * Memo for nextEventAt(): its inputs (MMIO buffer head, ROB head
-     * poll deadline) are core-private and absolute, so the value holds
-     * across skips until the entry points that clear the sleep memo
-     * run. Cleared together with sleepValid_.
-     */
-    mutable bool evMemoValid_ = false;
-    mutable Cycle evMemo_ = 0;
-
-    // Out-of-line halves of the quiescence API (header fast paths
-    // handle the long-lived memoized shapes).
+    /** Out-of-line half of quiescent() (the memos are inline). */
     bool quiescentSlow() const;
-    Cycle nextEventAtSlow() const;
 
     RobEntry &entry(SeqNum seq);
     const RobEntry &entry(SeqNum seq) const;

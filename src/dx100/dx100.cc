@@ -62,7 +62,6 @@ Dx100::registerRegion(Addr base, Addr size)
 void
 Dx100::mmioWrite(Addr addr, std::uint64_t data, int coreId)
 {
-    qMemo_ = QMemo::kNone;
     if (addr >= cfg_.rfBase() &&
         addr < cfg_.rfBase() + cfg_.numRegs * 8) {
         regs_[(addr - cfg_.rfBase()) / 8] = data;
@@ -379,7 +378,6 @@ Dx100::StreamSink::complete(const std::uint64_t &tag)
     (void)tag;
     StreamUnit &u = owner->stream_;
     dx_assert(u.outstanding > 0, "stray stream response");
-    owner->qMemo_ = QMemo::kNone;
     u.waitIdle = false;
     u.waitGated = false;
     --u.outstanding;
@@ -507,7 +505,6 @@ Dx100::streamTick(StreamUnit &u)
 void
 Dx100::LlcSink::complete(const std::uint64_t &tag)
 {
-    owner->qMemo_ = QMemo::kNone;
     owner->indirect_.responses.push_back(
         {static_cast<IndirectTables::ColHandle>(tag), true});
     owner->indirect_.waitIdle = false;
@@ -520,7 +517,6 @@ void
 Dx100::complete(const mem::MemRequest &req)
 {
     dx_assert(!req.write, "unexpected DRAM write response");
-    qMemo_ = QMemo::kNone;
     indirect_.responses.push_back(
         {static_cast<IndirectTables::ColHandle>(req.tag), false});
     indirect_.waitIdle = false;
@@ -867,7 +863,6 @@ Dx100::SpdPort::canAccept() const
 void
 Dx100::SpdPort::request(const cache::CacheReq &req)
 {
-    owner->qMemo_ = QMemo::kNone;
     queue.push_back({owner->now_ + owner->cfg_.spdReadLatency, req});
     if (!req.write)
         owner->markSpdCached(req.addr);
@@ -923,7 +918,6 @@ void
 Dx100::tick()
 {
     ++now_;
-    qMemo_ = QMemo::kNone;
     spdTick();
     streamTick(stream_);
     indirectTick(indirect_);
@@ -956,25 +950,21 @@ Dx100::debugDump() const
 }
 
 bool
-Dx100::quiescentSlow() const
+Dx100::quiescent() const
 {
     // A busy stream or indirect unit is quiescent only in its
     // wait-idle state (see {Stream,Indirect}Unit::waitIdle):
     // everything issued and in flight, with any admission-blocked
-    // send still blocked (no port departures since the memo). A
+    // send still blocked (no port departures since it blocked). A
     // backlogged inputQueue_ is quiescent only while the last
     // dispatch scan's verdict is frozen (dispatchWait_); each skipped
     // cycle then accounts one dispatch stall closed-form.
-    qMemo_ = QMemo::kNone;
-    const bool indirectBlocked = indirect_.busy && indirect_.waitBlocked;
     const bool indirectIdle =
         !indirect_.busy ||
         (indirect_.waitIdle &&
          (!indirect_.waitBlocked ||
           (indirect_.waitPops != cache::kPortPopsUnknown &&
            drainPops() == indirect_.waitPops)));
-    const bool streamWaiting = stream_.busy && stream_.waitIdle;
-    const bool streamBlocked = streamWaiting && stream_.waitBlocked;
     const bool streamIdle =
         !stream_.busy ||
         (stream_.waitIdle &&
@@ -983,31 +973,10 @@ Dx100::quiescentSlow() const
            drainPops() == stream_.waitPops))) ||
         (stream_.waitGated &&
          gateLimit(stream_.active) == stream_.gatePrefix);
-    const bool verdict =
-        streamIdle && indirectIdle && !alu_.busy && !range_.busy &&
-        (inputQueue_.empty() || dispatchWait_) &&
-        (spdPort_.queue.empty() ||
-         spdPort_.queue.front().first > now_);
-    if (!verdict)
-        return false;
-
-    // Memoize: every input is frozen until tick()/an entry point runs
-    // (they clear the memo), except the clock against the SPD head and
-    // - when a wait-idle unit is admission-blocked - the downstream
-    // departure count, which the inline fast path rechecks.
-    qSleepUntil_ = spdPort_.queue.empty()
-                       ? kNeverCycle
-                       : spdPort_.queue.front().first;
-    if (indirectBlocked || streamBlocked) {
-        const std::uint64_t pops = drainPops();
-        if (pops != cache::kPortPopsUnknown) {
-            qMemo_ = QMemo::kBlocked;
-            qPops_ = pops;
-        }
-    } else {
-        qMemo_ = QMemo::kTimed;
-    }
-    return true;
+    return streamIdle && indirectIdle && !alu_.busy && !range_.busy &&
+           (inputQueue_.empty() || dispatchWait_) &&
+           (spdPort_.queue.empty() ||
+            spdPort_.queue.front().first > now_);
 }
 
 bool

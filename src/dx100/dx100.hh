@@ -165,22 +165,8 @@ class Dx100 final : public Component,
      * or port departure. All other busy-but-blocked unit states still
      * tick (conservative: their retries and stall counters must match
      * the naive loop).
-     *
-     * Inline fast path: the verdict is memoized across probes (see
-     * QMemo below), so the common wait-idle shapes cost a compare —
-     * or a compare plus a port pop-count read — per scheduler query.
      */
-    bool
-    quiescent() const override
-    {
-        if (qMemo_ == QMemo::kTimed && now_ + 1 < qSleepUntil_)
-            return true;
-        if (qMemo_ == QMemo::kBlocked && now_ + 1 < qSleepUntil_ &&
-            drainPops() == qPops_) {
-            return true;
-        }
-        return quiescentSlow();
-    }
+    bool quiescent() const override;
 
     /**
      * Earliest cycle tick() could act without external stimulus (the
@@ -437,30 +423,6 @@ class Dx100 final : public Component,
      * a skipped cycle accounts one dispatchStalls bump closed-form.
      */
     bool dispatchWait_ = false;
-
-    /**
-     * Cross-probe memo of the quiescent() verdict. Everything the
-     * verdict reads — unit wait flags, finish-bit gates, the dispatch
-     * memo, the SPD queue — mutates only through tick() and the
-     * external entry points (mmioWrite, the response sinks, SPD port
-     * requests), all of which clear the memo. Two residual inputs are
-     * rechecked inline: the clock (qSleepUntil_ bounds validity at the
-     * SPD queue head) and, for kBlocked, the downstream departure
-     * count (an admission-blocked send stays blocked while no entry
-     * left the LLC/DRAM queues — arrivals never free space).
-     */
-    enum class QMemo : std::uint8_t
-    {
-        kNone,
-        kTimed,   //!< verdict is pops-independent
-        kBlocked, //!< verdict also pinned on drainPops() == qPops_
-    };
-    mutable QMemo qMemo_ = QMemo::kNone;
-    mutable Cycle qSleepUntil_ = 0;
-    mutable std::uint64_t qPops_ = 0;
-
-    /** Full verdict recomputation; (re)establishes the memo. */
-    bool quiescentSlow() const;
 
     std::deque<ExecPayload> inputQueue_;
     std::vector<std::uint64_t> regs_;

@@ -270,10 +270,10 @@ printBenchHeader(const std::string &title, const ExpOptions &opt)
 {
     std::printf("==========================================================\n");
     std::printf("%s\n", title.c_str());
-    std::printf("scale=%.3g jobs=%u cache=%s\n", opt.scale,
-                opt.effectiveJobs(),
-                opt.useCache ? opt.cacheDir.c_str() : "off");
+    std::printf("scale=%.3g\n", opt.scale);
     std::printf("==========================================================\n");
+    dx_inform("jobs=", opt.effectiveJobs(),
+              " cache=", opt.useCache ? opt.cacheDir : "off");
 }
 
 } // namespace dx::sim

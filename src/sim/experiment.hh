@@ -75,7 +75,10 @@ RunStats runWorkloadOnce(wl::Workload &w, const SystemConfig &cfg);
 /** Geometric mean helper for "geomean" rows. */
 double geomean(const std::vector<double> &values);
 
-/** Print a header naming the bench and the configuration used. */
+/**
+ * Print a header naming the bench and the scale to stdout; the run
+ * metadata (jobs, cache) goes to stderr so stdout stays comparable.
+ */
 void printBenchHeader(const std::string &title, const ExpOptions &opt);
 
 } // namespace dx::sim

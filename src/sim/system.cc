@@ -235,6 +235,17 @@ tickOrSkip(C &c)
     return 0;
 }
 
+/**
+ * The DRAM system decides tick-or-skip per channel itself. When every
+ * channel skipped, its hint is left to the caller (kNeverCycle here):
+ * it is only worth computing when every other component skipped too.
+ */
+Cycle
+tickOrSkip(mem::DramSystem &d)
+{
+    return d.tickScheduled() ? kNeverCycle : 0;
+}
+
 } // namespace
 
 unsigned
@@ -333,80 +344,28 @@ void
 System::tick()
 {
     ++now_;
-    for (auto &c : cores_)
-        c->tick();
-    for (auto &c : l1s_)
-        c->tick();
-    for (auto &c : l2s_)
-        c->tick();
-    llc_->tick();
-    for (auto &d : dxs_)
-        d->tick();
-    dram_->tick();
+    forEachInTickOrder([](auto &c) { c.tick(); });
 }
 
 Cycle
 System::tickScheduled()
 {
-    // Same component order as tick(): skip decisions are made at each
-    // component's slot, so anything an earlier component injected this
-    // cycle (e.g. a core's doorbell into a DX100 input queue) is seen.
+    // Skip decisions are made at each component's slot in tick order,
+    // so anything an earlier component injected this cycle (e.g. a
+    // core's doorbell into a DX100 input queue) is seen.
     ++now_;
     Cycle ev = kNeverCycle;
     bool allSkipped = true;
-    const auto fold = [&](Cycle r) {
+    forEachInTickOrder([&](auto &c) {
+        const Cycle r = tickOrSkip(c);
         if (r == 0)
             allSkipped = false;
         else
             ev = std::min(ev, r);
-    };
-    for (auto &c : cores_)
-        fold(tickOrSkip(*c));
-    for (auto &c : l1s_)
-        fold(tickOrSkip(*c));
-    for (auto &c : l2s_)
-        fold(tickOrSkip(*c));
-    fold(tickOrSkip(*llc_));
-    for (auto &d : dxs_)
-        fold(tickOrSkip(*d));
-    if (!dram_->tickScheduled() || !allSkipped)
-        return 0;
+    });
     // Every skip above was side-effect-free, so the hints gathered at
-    // each slot still hold now; the DRAM hint is queried lazily — it
-    // is only worth computing when everything else already skipped.
-    return std::min(ev, dram_->nextEventAt());
-}
-
-Cycle
-System::quiescentHorizon() const
-{
-    Cycle best = kNeverCycle;
-    for (const auto &c : cores_) {
-        if (!c->quiescent())
-            return 0;
-        best = std::min(best, c->nextEventAt());
-    }
-    for (const auto &c : l1s_) {
-        if (!c->quiescent())
-            return 0;
-        best = std::min(best, c->nextEventAt());
-    }
-    for (const auto &c : l2s_) {
-        if (!c->quiescent())
-            return 0;
-        best = std::min(best, c->nextEventAt());
-    }
-    if (!llc_->quiescent())
-        return 0;
-    best = std::min(best, llc_->nextEventAt());
-    for (const auto &d : dxs_) {
-        if (!d->quiescent())
-            return 0;
-        best = std::min(best, d->nextEventAt());
-    }
-    if (!dram_->quiescent())
-        return 0;
-    return std::min(best, dram_->nextEventAt());
+    // each slot still hold now; the DRAM hint is queried lazily.
+    return allSkipped ? std::min(ev, dram_->nextEventAt()) : 0;
 }
 
 void
@@ -416,39 +375,16 @@ System::skipTo(Cycle target)
     const Cycle n = target - now_;
     if (n == 0)
         return;
-    for (auto &c : cores_)
-        c->skipCycles(n);
-    for (auto &c : l1s_)
-        c->skipCycles(n);
-    for (auto &c : l2s_)
-        c->skipCycles(n);
-    llc_->skipCycles(n);
-    for (auto &d : dxs_)
-        d->skipCycles(n);
-    dram_->skipCycles(n);
+    forEachInTickOrder([n](auto &c) { c.skipCycles(n); });
     now_ = target;
 }
 
 bool
 System::drained() const
 {
-    for (const auto &c : cores_) {
-        if (!c->done())
-            return false;
-    }
-    for (const auto &d : dxs_) {
-        if (!d->idle())
-            return false;
-    }
-    for (const auto &c : l1s_) {
-        if (!c->drained())
-            return false;
-    }
-    for (const auto &c : l2s_) {
-        if (!c->drained())
-            return false;
-    }
-    return llc_->drained() && dram_->idle();
+    bool all = true;
+    forEachInTickOrder([&all](const auto &c) { all = all && c.drained(); });
+    return all;
 }
 
 RunStats

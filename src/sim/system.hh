@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -210,26 +212,17 @@ class System final : public Component
      *
      * Returns 0 when some component had to run, else the earliest
      * nextEventAt() across all components. In the latter case every
-     * skip this cycle was side-effect-free, so the per-slot hints
-     * double as a proven fast-forward horizon (same soundness argument
-     * as quiescentHorizon(), without a second predicate sweep): run()
-     * may skipTo(min(returned - 1, limit)) immediately.
+     * skip this cycle was side-effect-free: while all components are
+     * quiescent no cross-component callbacks occur, so no event can
+     * move earlier and the per-slot hints are a proven fast-forward
+     * horizon. run() may skipTo(min(returned - 1, limit)) immediately.
      */
     Cycle tickScheduled();
 
     /**
-     * If *every* component is quiescent, the earliest cycle any of
-     * them could act (conservative; kNeverCycle when none has a timed
-     * event); 0 when some component is active. Fast-forward is sound
-     * only in the first case: while all components are quiescent no
-     * cross-component callbacks occur, so no event can move earlier.
-     */
-    Cycle quiescentHorizon() const;
-
-    /**
      * Closed-form advance of every component (and the global clock)
      * to cycle @p target. Caller must have proven quiescence through
-     * @p target via quiescentHorizon().
+     * @p target via the horizon tickScheduled() returned.
      */
     void skipTo(Cycle target);
 
@@ -246,12 +239,6 @@ class System final : public Component
     /** Current global cycle. */
     Cycle now() const { return now_; }
 
-    // Component contract for the root: the whole-system predicates are
-    // the aggregates the run loop already computes.
-    bool quiescent() const override { return quiescentHorizon() != 0; }
-    Cycle nextEventAt() const override { return quiescentHorizon(); }
-    void skipCycles(Cycle n) override { skipTo(now_ + n); }
-    Cycle localNow() const override { return now_; }
     void registerStats(StatRegistry &reg) const override;
 
     /** Run until all cores are done and the memory system drains. */
@@ -288,6 +275,42 @@ class System final : public Component
     static unsigned liveSystems();
 
   private:
+    friend struct TickOrderProbe; // test_component_tree
+
+    /**
+     * Visit every ticked component in tick order — cores, L1s, L2s,
+     * LLC, DX100 instances, DRAM — as its concrete `final` type, so
+     * the calls @p f makes are statically dispatched. A const System
+     * visits const components.
+     */
+    template <typename F>
+    void forEachInTickOrder(F &&f) { visitInTickOrder(*this, f); }
+    template <typename F>
+    void forEachInTickOrder(F &&f) const { visitInTickOrder(*this, f); }
+
+    template <typename Self, typename F>
+    static void
+    visitInTickOrder(Self &self, F &f)
+    {
+        // unique_ptr hands out mutable references; keep Self's const.
+        const auto at = [](auto &p) -> auto & {
+            if constexpr (std::is_const_v<Self>)
+                return std::as_const(*p);
+            else
+                return *p;
+        };
+        for (auto &c : self.cores_)
+            f(at(c));
+        for (auto &c : self.l1s_)
+            f(at(c));
+        for (auto &c : self.l2s_)
+            f(at(c));
+        f(at(self.llc_));
+        for (auto &d : self.dxs_)
+            f(at(d));
+        f(at(self.dram_));
+    }
+
     SystemConfig cfg_;
     const bool naiveTick_;
     SimMemory mem_;

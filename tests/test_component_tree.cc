@@ -29,6 +29,24 @@
 using namespace dx;
 using namespace dx::sim;
 
+namespace dx::sim
+{
+
+/** Reads System's private tick-order walk (System befriends it). */
+struct TickOrderProbe
+{
+    static std::vector<std::string>
+    paths(const System &sys)
+    {
+        std::vector<std::string> out;
+        sys.forEachInTickOrder(
+            [&out](const auto &c) { out.push_back(c.path()); });
+        return out;
+    }
+};
+
+} // namespace dx::sim
+
 namespace
 {
 
@@ -256,6 +274,30 @@ TEST(ComponentTree, DmpTopology)
     ASSERT_NE(dmp, nullptr);
     EXPECT_EQ(dmp->path(), "system.core0.l1d.dmp");
     auditPorts(sys);
+}
+
+// The one component walk visits cores, L1s, L2s, the LLC, every DX100
+// instance and DRAM, each exactly once, in that order.
+TEST(ComponentTree, TickOrder)
+{
+    const auto expected = [](unsigned cores,
+                             std::vector<std::string> dxs) {
+        std::vector<std::string> order;
+        for (const char *level : {"", ".l1d", ".l2"}) {
+            for (unsigned c = 0; c < cores; ++c)
+                order.push_back("system.core" + std::to_string(c) +
+                                level);
+        }
+        order.push_back("system.llc");
+        for (std::string &d : dxs)
+            order.push_back("system." + d);
+        order.push_back("system.dram");
+        return order;
+    };
+    EXPECT_EQ(TickOrderProbe::paths(System(SystemConfig::withDx100(4, 2))),
+              expected(4, {"dx100_0", "dx100_1"}));
+    EXPECT_EQ(TickOrderProbe::paths(System(SystemConfig::withDmp(2))),
+              expected(2, {}));
 }
 
 TEST(ComponentTree, StatPathsUniqueAndComplete)
