@@ -16,7 +16,6 @@ Cache::Cache(const Config &cfg, CachePort *downstream)
 {
     dx_assert(downstream, "cache needs a downstream port");
     downstream_.bind(*downstream);
-    downstreamPopAddr_ = downstream_->popCountAddr();
     const std::uint64_t lines = cfg_.sizeBytes / kLineBytes;
     dx_assert(lines % cfg_.assoc == 0, "size/assoc mismatch");
     numSets_ = static_cast<unsigned>(lines / cfg_.assoc);
@@ -491,69 +490,51 @@ Cache::headStall() const
                                             : HeadStall::kDownstream;
 }
 
-bool
-Cache::quiescentSlow() const
+Cycle
+Cache::nextEventAtSlow() const
 {
-    // A kBlocked verdict the inline fast path could not check: the
-    // downstream port aggregates its departures (no counter address).
-    if (qMemo_ == QMemo::kBlocked &&
-        downstream_->popCount() == blockedPops_) {
-        return true;
-    }
     qMemo_ = QMemo::kNone;
 
     if (!writebacks_.empty() ||
         (prefetcher_ && prefetcher_->pending())) {
-        return false;
+        return now_ + 1;
     }
     if (queueLen_ == 0) {
         qMemo_ = QMemo::kTimed;
         sleepUntil_ = kNeverCycle;
-        return true;
+        return kNeverCycle;
     }
+    // The input queue is served in order, so only the head can become
+    // due; MSHR fills arrive via complete (external stimulus).
     if (queueHead().readyAt > now_ + 1) {
         qMemo_ = QMemo::kTimed;
         sleepUntil_ = queueHead().readyAt;
-        return true;
+        return sleepUntil_;
     }
-    // Due head: quiescent only if the retry would structurally stall,
-    // in which case its sole effect is the stall counter skipCycles()
+    // Due head: quiet only if the retry would structurally stall, in
+    // which case its sole effect is the stall counter skipCycles()
     // accumulates. Nothing the stall depends on (MSHRs, downstream
     // queue space) can change except through external stimulus, which
-    // re-evaluates quiescence.
+    // re-evaluates the verdict; entries behind it are blocked in order.
     switch (headStall()) {
       case HeadStall::kNone:
-        return false;
+        return now_ + 1;
       case HeadStall::kMshrFull:
         // Unblocks only via a fill, which clears the memo.
         qMemo_ = QMemo::kTimed;
         sleepUntil_ = kNeverCycle;
-        return true;
-      case HeadStall::kDownstream: {
-        const std::uint64_t pops = downstreamPopAddr_
-                                       ? *downstreamPopAddr_
-                                       : downstream_->popCount();
-        if (pops != kPortPopsUnknown) {
-            qMemo_ = QMemo::kBlocked;
-            blockedPops_ = pops;
-        }
-        return true;
-      }
-    }
-    return true; // unreachable
-}
-
-Cycle
-Cache::nextEventAtSlow() const
-{
-    // The input queue is served in order, so only the head can become
-    // due; MSHR fills arrive via complete (external stimulus). A
-    // due-but-stalled head also unblocks only via external stimulus,
-    // and entries behind it are blocked in order.
-    if (queueLen_ == 0)
         return kNeverCycle;
-    const Cycle readyAt = queueHead().readyAt;
-    return readyAt > now_ + 1 ? readyAt : kNeverCycle;
+      case HeadStall::kDownstream:
+        // Armed with the counter the port reports now: the LLC's
+        // router stops tracking once a scratchpad range is added.
+        if (const std::uint64_t *pops = downstream_->departures()) {
+            qMemo_ = QMemo::kBlocked;
+            blockedWatch_ = pops;
+            blockedPops_ = *pops;
+        }
+        return kNeverCycle;
+    }
+    return now_ + 1; // unreachable
 }
 
 void

@@ -75,12 +75,7 @@ class Cache final : public Component,
     // CachePort (upstream-facing).
     bool canAccept() const override;
     void request(const CacheReq &req) override;
-    std::uint64_t popCount() const override { return popCount_; }
-    const std::uint64_t *
-    popCountAddr() const override
-    {
-        return &popCount_;
-    }
+    const std::uint64_t *departures() const override { return &popCount_; }
 
     // CacheRespSink (downstream fill responses).
     void complete(const std::uint64_t &tag) override;
@@ -95,62 +90,42 @@ class Cache final : public Component,
     }
 
     /** Advance one core cycle. */
-    void tick() override;
+    void tick();
 
     /**
-     * Quiescence contract (see DESIGN.md): tick() would change nothing
-     * but the closed-form per-cycle stats — no processable queue entry,
-     * no writeback awaiting drain, no prefetch candidate. A due head
-     * that would structurally stall (MSHR/downstream full) *is*
-     * quiescent: the retry's only effect is a stall counter, which
-     * skipCycles() accumulates closed-form.
+     * Tick contract (see DESIGN.md §4c): the earliest cycle tick()
+     * could change more than the closed-form per-cycle stats, or
+     * now + 1 when the next tick must run. Quiet means no processable
+     * queue entry, no writeback awaiting drain and no prefetch
+     * candidate. A due head that would structurally stall (MSHR or
+     * downstream full) is quiet: the retry's only effect is a stall
+     * counter, which skipCycles() accumulates closed-form.
      *
      * Inline fast path: the scheduler probes every component every
-     * cycle, so the common long-lived kTimed memo must cost two
-     * compares at the call site, not a cross-TU call.
-     */
-    bool
-    quiescent() const override
-    {
-        if (qMemo_ == QMemo::kTimed && now_ + 1 < sleepUntil_)
-            return true;
-        // Downstream-blocked head: valid while the gating resource's
-        // departure count is unmoved (arrivals never free space). The
-        // cached counter address dodges a virtual call per probe.
-        if (qMemo_ == QMemo::kBlocked && downstreamPopAddr_ &&
-            *downstreamPopAddr_ == blockedPops_) {
-            return true;
-        }
-        return quiescentSlow();
-    }
-
-    /**
-     * Earliest cycle tick() could act again without external stimulus;
-     * kNeverCycle when only a new request or a fill can wake us. Only
-     * meaningful while quiescent() — which (re)establishes the kTimed
-     * memo this fast path returns.
+     * cycle, so the common long-lived memos must cost two compares at
+     * the call site, not a cross-TU call.
      */
     Cycle
-    nextEventAt() const override
+    nextEventAt() const
     {
-        if (qMemo_ == QMemo::kTimed)
+        if (qMemo_ == QMemo::kTimed && now_ + 1 < sleepUntil_)
             return sleepUntil_;
-        // A kBlocked head is due-but-stalled: no timed self-event, only
-        // external stimulus can wake it (matches nextEventAtSlow()).
-        if (qMemo_ == QMemo::kBlocked)
+        // Downstream-blocked head: still stalled while the port's
+        // departure count is unmoved (arrivals never free space). A
+        // blocked head has no timed self-event.
+        if (qMemo_ == QMemo::kBlocked && *blockedWatch_ == blockedPops_)
             return kNeverCycle;
         return nextEventAtSlow();
     }
 
     /**
-     * Closed-form advance over @p n cycles the caller has proven
-     * quiescent (quiescent() holds and nextEventAt() > now + n),
+     * Closed-form advance over @p n cycles nextEventAt() proved quiet,
      * accumulating the per-cycle stall counter a due-but-stalled head
      * would have bumped. Inline fast path: no due head, nothing to
      * accumulate but the clock.
      */
     void
-    skipCycles(Cycle n) override
+    skipCycles(Cycle n)
     {
         // kBlocked is only ever established for a due head stalled on
         // the downstream port, so the accumulated counter is fixed.
@@ -164,7 +139,7 @@ class Cache final : public Component,
             return;
         }
         // A due head under a kTimed verdict that never wakes was
-        // classified kMshrFull by quiescentSlow(), and only a fill
+        // classified kMshrFull by nextEventAtSlow(), and only a fill
         // (which clears the verdict) can change that.
         if (qMemo_ == QMemo::kTimed && sleepUntil_ == kNeverCycle) {
             stats_.stallMshrFull += n;
@@ -174,18 +149,14 @@ class Cache final : public Component,
         skipCyclesSlow(n);
     }
 
-    /** This cache's clock (kept in sync with the System clock). */
-    Cycle localNow() const override { return now_; }
-
     /** True if any request, MSHR or writeback is in flight. */
     bool busy() const;
 
     /**
-     * Nothing in flight *and* no prefetch candidates queued: the
-     * termination-side twin of quiescent(), used by System::run so a
-     * run cannot end with requests still pending.
+     * Nothing in flight *and* no prefetch candidates queued, so a run
+     * cannot end with requests still pending.
      */
-    bool drained() const override;
+    bool drained() const;
 
     // SnoopPort: residency and invalidation (DX100's H bit).
     bool containsLine(Addr line) const override;
@@ -282,7 +253,7 @@ class Cache final : public Component,
     /**
      * Why processRequest(queueHead()) would stall this cycle
      * (kNone = it would make progress). Mirrors processRequest's stall
-     * paths exactly; shared by quiescent() and skipCycles() so skipped
+     * paths exactly; shared by nextEventAt() and skipCycles() so skipped
      * stall counters match the naive loop's bit-for-bit.
      */
     enum class HeadStall : std::uint8_t
@@ -293,22 +264,21 @@ class Cache final : public Component,
     };
     HeadStall headStall() const;
 
-    // Out-of-line halves of the quiescence API: everything past the
+    // Out-of-line halves of the tick contract: everything past the
     // header-inlined memo checks.
-    bool quiescentSlow() const;
     Cycle nextEventAtSlow() const;
     void skipCyclesSlow(Cycle n);
 
     /**
-     * Cross-cycle memo of the whole quiescent() verdict, so the common
+     * Cross-cycle memo of the nextEventAt() verdict, so the common
      * long-lived idle shapes cost one compare per scheduler query:
      *  - kTimed: idle (or head not yet due) until sleepUntil_, or a
      *    due head stalled on MSHRs (sleepUntil_ = kNeverCycle); every
      *    state the verdict reads only moves through this cache's entry
      *    points, which clear the memo.
      *  - kBlocked: head due but stalled on a full downstream port;
-     *    still stalled as long as the port's departure count has not
-     *    moved (arrivals never free space).
+     *    still stalled as long as the counter blockedWatch_ points at
+     *    (the port's departures(), read when armed) has not moved.
      * Cleared by tick(), request(), complete(),
      * invalidateLine() and installLine().
      */
@@ -320,10 +290,8 @@ class Cache final : public Component,
     };
     mutable QMemo qMemo_ = QMemo::kNone;
     mutable Cycle sleepUntil_ = 0;
+    mutable const std::uint64_t *blockedWatch_ = nullptr;
     mutable std::uint64_t blockedPops_ = 0;
-    //! Downstream pop counter, resolved once at wiring (null when the
-    //! port aggregates or does not track departures).
-    const std::uint64_t *downstreamPopAddr_ = nullptr;
 
     void issuePrefetches();
     void drainWritebacks();
@@ -349,7 +317,7 @@ class Cache final : public Component,
     unsigned queueFront_ = 0; //!< slot of the oldest entry
     unsigned queueLen_ = 0;
     std::deque<Addr> writebacks_; //!< dirty victim lines awaiting drain
-    std::uint64_t popCount_ = 0;  //!< input-queue departures (popCount)
+    std::uint64_t popCount_ = 0;  //!< input-queue departures
 
     Cycle now_ = 0;
     std::uint64_t useCounter_ = 0;

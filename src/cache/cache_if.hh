@@ -3,7 +3,7 @@
  * Cache-domain instantiations of the unified port layer (sim/port.hh).
  *
  * CachePort and CacheRespSink are thin aliases of RequestPort /
- * Completion — the protocol (admission, pop-count watching, typed
+ * Completion — the protocol (admission, departure counters, typed
  * completions) is documented once on the templates.
  */
 
@@ -18,8 +18,6 @@
 
 namespace dx::cache
 {
-
-using dx::kPortPopsUnknown;
 
 /** Receives line-granularity completions from a cache or port. */
 using CacheRespSink = Completion<std::uint64_t>;

@@ -28,14 +28,8 @@ class DramPort : public CachePort, public mem::MemRespSink
     void complete(const mem::MemRequest &req) override;
 
     /** Admission is gated on controller buffers; report their drains. */
-    std::uint64_t
-    popCount() const override
-    {
-        return dram_.dequeueCount();
-    }
-
     const std::uint64_t *
-    popCountAddr() const override
+    departures() const override
     {
         return dram_.dequeueCountAddr();
     }
@@ -69,22 +63,13 @@ class RangeRouter : public CachePort
     void request(const CacheReq &req) override;
 
     /**
-     * Departures across every routed port; unknown if any subport
-     * cannot track them (a waiter must then probe every cycle).
+     * The fallback's departures while no range is routed; none once
+     * one is, since the routed ports are counted apart.
      */
-    std::uint64_t
-    popCount() const override
+    const std::uint64_t *
+    departures() const override
     {
-        std::uint64_t sum = fallback_->popCount();
-        if (sum == kPortPopsUnknown)
-            return kPortPopsUnknown;
-        for (const auto &r : ranges_) {
-            const std::uint64_t p = r.port->popCount();
-            if (p == kPortPopsUnknown)
-                return kPortPopsUnknown;
-            sum += p;
-        }
-        return sum;
+        return ranges_.empty() ? fallback_->departures() : nullptr;
     }
 
   private:

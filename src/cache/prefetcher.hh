@@ -31,9 +31,9 @@ class Prefetcher
 
     /**
      * True while prefetch candidates are queued. Part of the cache's
-     * quiescent()/drained() contract: a cache with a pending prefetcher
-     * is neither quiescent (issuePrefetches would pop) nor drained (a
-     * run must not terminate with candidates still queued).
+     * nextEventAt()/drained() contract: a cache with a pending
+     * prefetcher is neither quiet (issuePrefetches would pop) nor
+     * drained (a run must not terminate with candidates still queued).
      */
     virtual bool pending() const = 0;
 };

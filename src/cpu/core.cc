@@ -36,7 +36,6 @@ Core::Core(const Config &cfg, int id, cache::CachePort *l1)
 {
     dx_assert(l1, "core needs an L1 port");
     l1_.bind(*l1);
-    l1PopAddr_ = l1_->popCountAddr();
 }
 
 Core::RobEntry &
@@ -179,7 +178,7 @@ void
 Core::complete(const std::uint64_t &tag)
 {
     sleepValid_ = false;
-    blockedValid_ = false;
+    blockedWatch_ = nullptr;
     if (tag & kStoreTag) {
         dx_assert(sqUsed_ > 0 && inflightStoreWrites_ > 0,
                   "spurious store completion");
@@ -375,7 +374,7 @@ Core::tick()
 {
     ++now_;
     sleepValid_ = false;
-    blockedValid_ = false;
+    blockedWatch_ = nullptr;
     ++stats_.cycles;
     stats_.robOccupancyAccum += robTail_ - robHead_;
     stats_.lqOccupancyAccum += lqUsed_;
@@ -414,22 +413,15 @@ Core::dispatchStall() const
     return DispatchStall::kNone;
 }
 
-bool
-Core::quiescentSlow() const
+Cycle
+Core::nextEventAtSlow() const
 {
-    // An L1-gated verdict the inline fast path could not check: the L1
-    // reports departures only through popCount(), with no address.
-    if (blockedValid_ &&
-        (l1PopAddr_ ? *l1PopAddr_ : l1_->popCount()) ==
-            blockedPops_) {
-        return true;
-    }
-    blockedValid_ = false;
+    blockedWatch_ = nullptr;
     // Structural activity a tick would advance: wheel completions,
     // then the ready queue and store drain, which are only no-ops when
     // blocked on a full L1 input queue.
     if (wheelPending_ > 0)
-        return false;
+        return now_ + 1;
     if (!readyQueue_.empty()) {
         // issue() examines entries front-first and pops every one it
         // touches except a ready load it fails to issue into a full
@@ -437,55 +429,51 @@ Core::quiescentSlow() const
         // are never reached and the tick is a no-op.
         const SeqNum seq = readyQueue_.front();
         if (!inRob(seq))
-            return false; // issue() would pop the stale entry
+            return now_ + 1; // issue() would pop the stale entry
         const RobEntry &e = entry(seq);
         if (e.state != EntryState::kReady)
-            return false; // likewise
+            return now_ + 1; // likewise
         if (e.op.kind != OpKind::kLoad || fencePending(seq))
-            return false; // would issue or move to fenceBlocked_
+            return now_ + 1; // would issue or move to fenceBlocked_
         if (l1_->canAccept())
-            return false; // the load would issue
+            return now_ + 1; // the load would issue
     }
     if (!storeBuffer_.empty() && l1_->canAccept())
-        return false; // drainStores() would issue
+        return now_ + 1; // drainStores() would issue
     // dispatch() would refill the front-end buffer from the kernel.
     if (kernel_ && kernel_->more() && opBuffer_.size() < 4 * cfg_.width)
-        return false;
+        return now_ + 1;
     // dispatch() would move the front-end head into the ROB.
     if (!opBuffer_.empty() && dispatchStall() == DispatchStall::kNone)
-        return false;
+        return now_ + 1;
     if (robHead_ != robTail_) {
         const RobEntry &e = entry(robHead_);
         // commit() would retire.
         if (e.state == EntryState::kComplete)
-            return false;
+            return now_ + 1;
         // commit() would issue a head kRmw or complete a head kFence.
-        // A head kDxWait stays quiescent between polls: waitCycles is
+        // A head kDxWait stays quiet between polls: waitCycles is
         // closed-form and the poll itself is the next event.
         if (e.headBlocked && e.op.kind != OpKind::kDxWait &&
             e.state == EntryState::kReady && storeBuffer_.empty() &&
             inflightStoreWrites_ == 0 && mmioBuffer_.empty()) {
-            return false;
+            return now_ + 1;
         }
     }
     // Sleep-stable when no check above consulted the L1. Otherwise the
     // verdict is L1-gated — it holds exactly until the L1 pops a queue
-    // entry, so cache it against the L1's departure count.
+    // entry, so arm it on the departure counter the L1 reports now.
     if (readyQueue_.empty() && storeBuffer_.empty()) {
         sleepValid_ = true;
-    } else {
-        const std::uint64_t pops =
-            l1PopAddr_ ? *l1PopAddr_ : l1_->popCount();
-        if (pops != cache::kPortPopsUnknown) {
-            blockedValid_ = true;
-            blockedPops_ = pops;
-        }
+    } else if (const std::uint64_t *pops = l1_->departures()) {
+        blockedWatch_ = pops;
+        blockedPops_ = *pops;
     }
-    return true;
+    return timedEventAt();
 }
 
 Cycle
-Core::nextEventAt() const
+Core::timedEventAt() const
 {
     Cycle ev = kNeverCycle;
     if (!mmioBuffer_.empty())
@@ -539,7 +527,7 @@ Core::skipCycles(Cycle n)
 }
 
 bool
-Core::done() const
+Core::drained() const
 {
     return (!kernel_ || !kernel_->more()) && opBuffer_.empty() &&
            robHead_ == robTail_ && storeBuffer_.empty() &&

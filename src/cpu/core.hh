@@ -70,59 +70,47 @@ class Core final : public Component,
     {
         kernel_ = kernel;
         sleepValid_ = false;
-        blockedValid_ = false;
+        blockedWatch_ = nullptr;
     }
 
     /** Attach the MMIO device (DX100 instance) visible to this core. */
     void setMmioDevice(MmioDevice *dev) { mmio_ = dev; }
 
     /** Advance one core cycle. */
-    void tick() override;
+    void tick();
 
     /**
-     * Quiescence contract (see DESIGN.md): tick() this cycle would
-     * change nothing but the closed-form per-cycle stats (cycles,
-     * occupancy integrals, the current stall counter, kDxWait
-     * waitCycles) — no wheel completion, nothing issuable, nothing
-     * dispatchable, no store/MMIO drain, no head retirement.
+     * Tick contract (see DESIGN.md §4c): the earliest cycle tick()
+     * could act again without external stimulus — the next MMIO
+     * delivery or kDxWait poll, kNeverCycle when only a cache response
+     * can wake us — or now + 1 when the next tick must run. Quiet means
+     * tick() would change nothing but the closed-form per-cycle stats
+     * (cycles, occupancy integrals, the current stall counter, kDxWait
+     * waitCycles): no wheel completion, nothing issuable, nothing
+     * dispatchable, no store drain, no head retirement.
      *
      * Inline fast path: the scheduler probes every core every cycle,
-     * so the sleep-stable memo must cost one load at the call site.
+     * so the memo checks must cost a load or two at the call site.
      */
-    bool
-    quiescent() const override
+    Cycle
+    nextEventAt() const
     {
-        if (sleepValid_)
-            return true;
-        // L1-gated memo: valid while the L1 pop counter is unmoved
-        // (one load via the cached address — see popCountAddr).
-        if (blockedValid_ && l1PopAddr_ && *l1PopAddr_ == blockedPops_)
-            return true;
-        return quiescentSlow();
+        if (sleepValid_ ||
+            (blockedWatch_ && *blockedWatch_ == blockedPops_)) {
+            return timedEventAt();
+        }
+        return nextEventAtSlow();
     }
 
     /**
-     * Earliest cycle tick() could act again without external stimulus:
-     * the next MMIO delivery or kDxWait poll; kNeverCycle when only a
-     * cache response can wake us. Only meaningful while quiescent().
+     * Closed-form advance over @p n cycles nextEventAt() proved quiet,
+     * accumulating exactly the stats the naive per-cycle loop would
+     * have.
      */
-    Cycle nextEventAt() const override;
-
-    /**
-     * Closed-form advance over @p n cycles the caller has proven
-     * quiescent, accumulating exactly the stats the naive per-cycle
-     * loop would have.
-     */
-    void skipCycles(Cycle n) override;
-
-    /** This core's clock (kept in sync with the System clock). */
-    Cycle localNow() const override { return now_; }
+    void skipCycles(Cycle n);
 
     /** Kernel exhausted and every buffer drained. */
-    bool done() const;
-
-    /** Component drain is the same predicate as done(). */
-    bool drained() const override { return done(); }
+    bool drained() const;
 
     // Component introspection.
     void registerStats(StatRegistry &reg) const override;
@@ -171,7 +159,7 @@ class Core final : public Component,
     /**
      * Why dispatch() would stall on the front-end head this cycle
      * (kNone = it would dispatch, or the buffer is empty). Shared by
-     * quiescent() and skipCycles() so the skipped stall counters match
+     * nextEventAt() and skipCycles() so the skipped stall counters match
      * the naive loop's bit-for-bit.
      */
     enum class DispatchStall : std::uint8_t
@@ -184,32 +172,34 @@ class Core final : public Component,
     DispatchStall dispatchStall() const;
 
     /**
-     * Cross-cycle memo that the core is quiescent *and* the verdict
-     * is sleep-stable: it depends only on core-private state, not on
-     * L1 input-queue space (which changes without this core seeing a
+     * Cross-cycle memo that the core is quiet *and* the verdict is
+     * sleep-stable: it depends only on core-private state, not on L1
+     * input-queue space (which changes without this core seeing a
      * call). Only the ready-queue-front and store-drain no-op cases
      * consult the L1, so the memo is set only when both queues are
-     * empty. Cleared by tick(), complete() and setKernel() — the
-     * only entry points that mutate core state. While set, quiescent()
-     * is a single load.
+     * empty. Cleared by tick(), complete() and setKernel() — the only
+     * entry points that mutate core state. While set, nextEventAt()
+     * skips straight to the timed events.
      */
     mutable bool sleepValid_ = false;
 
     /**
-     * Companion memo for the quiescent-but-L1-gated shapes (ready-
-     * queue front load, or store drain, blocked on a full L1 input
-     * queue): the verdict holds as long as the L1 reports no queue
-     * departures — arrivals never free space, and everything else the
-     * verdict reads is core-private. Cleared together with
-     * sleepValid_; never set when the L1 cannot track departures.
+     * Companion memo for the quiet-but-L1-gated shapes (ready-queue
+     * front load, or store drain, blocked on a full L1 input queue):
+     * the verdict holds as long as the L1 reports no queue departures
+     * — arrivals never free space, and everything else the verdict
+     * reads is core-private. blockedWatch_ is the L1's departures()
+     * counter read when armed (null = not armed; never armed when the
+     * L1 does not track departures). Cleared with sleepValid_.
      */
-    mutable bool blockedValid_ = false;
+    mutable const std::uint64_t *blockedWatch_ = nullptr;
     mutable std::uint64_t blockedPops_ = 0;
-    //! L1 pop counter, resolved once at wiring (null if untracked).
-    const std::uint64_t *l1PopAddr_ = nullptr;
 
-    /** Out-of-line half of quiescent() (the memos are inline). */
-    bool quiescentSlow() const;
+    /** Out-of-line half of nextEventAt(): re-derive the verdict. */
+    Cycle nextEventAtSlow() const;
+
+    /** The next MMIO delivery or kDxWait poll (kNeverCycle if none). */
+    Cycle timedEventAt() const;
 
     RobEntry &entry(SeqNum seq);
     const RobEntry &entry(SeqNum seq) const;

@@ -14,7 +14,6 @@ Dx100::Dx100(const Dx100Config &cfg, mem::DramSystem &dram,
              cache::CachePort *llcPort, CoherencyAgent agent,
              unsigned maxCores)
     : Component("dx100"), cfg_(cfg), dram_(dram),
-      llcPopAddr_(llcPort ? llcPort->popCountAddr() : nullptr),
       agent_(agent),
       tlb_(cfg.tlbEntries, cfg.tlbMissPenalty),
       doorbells_(maxCores), sideband_(maxCores),
@@ -402,8 +401,7 @@ Dx100::streamStart(StreamUnit &u)
     u.outstanding = 0;
     u.linesDone = 0;
     u.waitIdle = false;
-    u.waitBlocked = false;
-    u.waitPops = 0;
+    u.portWait = {};
     u.waitGated = false;
     u.gatePrefix = 0;
 
@@ -482,17 +480,16 @@ Dx100::streamTick(StreamUnit &u)
         // All issued, or the request table is full: only a response
         // can make the next tick productive.
         u.waitIdle = true;
-        u.waitBlocked = false;
+        u.portWait = {};
     } else if (u.issuePos < allowedLines) {
         // A line was sendable but the LLC refused admission: sleep
         // until the port records a departure.
-        u.waitIdle = true;
-        u.waitBlocked = true;
-        u.waitPops = drainPops();
+        u.waitIdle = armPortWait(u.portWait);
     } else {
         // Gated on a producer's finish bits. The producer may advance
         // in a later unit tick of this same cycle, so record the gate
-        // value for quiescent() to revalidate rather than trusting it.
+        // value for nextEventAt() to revalidate rather than trusting
+        // it.
         u.waitGated = true;
         u.gatePrefix = limit;
     }
@@ -540,8 +537,7 @@ Dx100::indirectStart(IndirectUnit &u)
     u.pendingWrites.clear();
     u.outstandingReads = 0;
     u.waitIdle = false;
-    u.waitBlocked = false;
-    u.waitPops = 0;
+    u.portWait = {};
     u.waitFillStall = false;
     u.needsWriteback = p.instr.op != Opcode::kIld;
     tables_.reset(u.n);
@@ -792,9 +788,9 @@ Dx100::indirectTick(IndirectUnit &u)
         // admission, until the blocking ports record a departure.
         u.waitIdle = true;
         u.waitFillStall = fillStallOnly;
-        u.waitBlocked = wrBlocked || rqBlocked;
-        if (u.waitBlocked)
-            u.waitPops = drainPops();
+        u.portWait = {};
+        if (wrBlocked || rqBlocked)
+            u.waitIdle = armPortWait(u.portWait);
     }
     if (indirectDone(u))
         retire(UnitKind::kIndirect);
@@ -818,16 +814,19 @@ Dx100::skipCycles(Cycle n)
     }
 }
 
-std::uint64_t
-Dx100::drainPops() const
+bool
+Dx100::armPortWait(PortWait &w) const
 {
-    if (llcPopAddr_)
-        return *llcPopAddr_ + dram_.dequeueCount();
-    const std::uint64_t llc =
-        llcPort_ ? llcPort_->popCount() : 0;
-    if (llc == cache::kPortPopsUnknown)
-        return cache::kPortPopsUnknown;
-    return llc + dram_.dequeueCount();
+    w.llc = llcPort_ ? llcPort_->departures() : nullptr;
+    if (w.llc)
+        w.pops = *w.llc + dram_.dequeueCount();
+    return w.llc != nullptr;
+}
+
+bool
+Dx100::portWaitHolds(const PortWait &w) const
+{
+    return !w.llc || *w.llc + dram_.dequeueCount() == w.pops;
 }
 
 void
@@ -949,38 +948,34 @@ Dx100::debugDump() const
     return os.str();
 }
 
-bool
-Dx100::quiescent() const
+Cycle
+Dx100::nextEventAt() const
 {
-    // A busy stream or indirect unit is quiescent only in its
-    // wait-idle state (see {Stream,Indirect}Unit::waitIdle):
-    // everything issued and in flight, with any admission-blocked
-    // send still blocked (no port departures since it blocked). A
-    // backlogged inputQueue_ is quiescent only while the last
-    // dispatch scan's verdict is frozen (dispatchWait_); each skipped
-    // cycle then accounts one dispatch stall closed-form.
+    // A busy stream or indirect unit is quiet only in its wait-idle
+    // state (see {Stream,Indirect}Unit::waitIdle): everything issued
+    // and in flight, with any admission-blocked send still blocked. A
+    // backlogged inputQueue_ is quiet only while the last dispatch
+    // scan's verdict is frozen (dispatchWait_); each skipped cycle then
+    // accounts one dispatch stall closed-form.
     const bool indirectIdle =
         !indirect_.busy ||
-        (indirect_.waitIdle &&
-         (!indirect_.waitBlocked ||
-          (indirect_.waitPops != cache::kPortPopsUnknown &&
-           drainPops() == indirect_.waitPops)));
+        (indirect_.waitIdle && portWaitHolds(indirect_.portWait));
     const bool streamIdle =
         !stream_.busy ||
-        (stream_.waitIdle &&
-         (!stream_.waitBlocked ||
-          (stream_.waitPops != cache::kPortPopsUnknown &&
-           drainPops() == stream_.waitPops))) ||
+        (stream_.waitIdle && portWaitHolds(stream_.portWait)) ||
         (stream_.waitGated &&
          gateLimit(stream_.active) == stream_.gatePrefix);
-    return streamIdle && indirectIdle && !alu_.busy && !range_.busy &&
-           (inputQueue_.empty() || dispatchWait_) &&
-           (spdPort_.queue.empty() ||
-            spdPort_.queue.front().first > now_);
+    if (!streamIdle || !indirectIdle || alu_.busy || range_.busy ||
+        (!inputQueue_.empty() && !dispatchWait_)) {
+        return now_ + 1;
+    }
+    // A scratchpad head already due reads as "tick me" too.
+    return spdPort_.queue.empty() ? kNeverCycle
+                                  : spdPort_.queue.front().first;
 }
 
 bool
-Dx100::idle() const
+Dx100::drained() const
 {
     if (!inputQueue_.empty() || stream_.busy || indirect_.busy ||
         alu_.busy || range_.busy || !spdPort_.queue.empty()) {

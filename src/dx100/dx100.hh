@@ -140,11 +140,10 @@ class Dx100 final : public Component,
     /** Port the LLC's range router steers SPD-region lines to. */
     cache::CachePort &spdPort() { return spdPort_; }
 
-    void tick() override;
-    bool idle() const;
+    void tick();
 
-    /** Component drain is the same predicate as idle(). */
-    bool drained() const override { return idle(); }
+    /** Nothing queued, executing or awaiting the scratchpad port. */
+    bool drained() const;
 
     // Component introspection.
     void registerStats(StatRegistry &reg) const override;
@@ -156,41 +155,26 @@ class Dx100 final : public Component,
     }
 
     /**
-     * Quiescence contract (see DESIGN.md): tick() would be a no-op —
-     * every unit idle, nothing queued for dispatch, no scratchpad read
-     * due. One exception: a busy indirect unit in its wait-idle drain
-     * state (everything issued and in flight, nothing consumable, any
-     * admission-blocked send still blocked) is quiescent, because its
-     * tick is then provably side-effect free until a memory response
-     * or port departure. All other busy-but-blocked unit states still
-     * tick (conservative: their retries and stall counters must match
-     * the naive loop).
+     * Tick contract (see DESIGN.md §4c): the scratchpad queue head
+     * (SPD entries share one fixed latency, so it is the earliest),
+     * kNeverCycle when only a doorbell or a memory response can wake
+     * us, or now + 1 unless tick() would be a no-op — every unit idle,
+     * nothing queued for dispatch. One exception: a busy indirect unit
+     * in its wait-idle drain state (everything issued and in flight,
+     * nothing consumable, any admission-blocked send still blocked) is
+     * quiet, because its tick is then provably side-effect free until
+     * a memory response or port departure. All other busy-but-blocked
+     * unit states still tick (conservative: their retries and stall
+     * counters must match the naive loop).
      */
-    bool quiescent() const override;
+    Cycle nextEventAt() const;
 
     /**
-     * Earliest cycle tick() could act without external stimulus (the
-     * scratchpad queue head); kNeverCycle when only a doorbell or a
-     * memory response can wake us. Only meaningful while quiescent().
-     * SPD entries share one fixed latency, so the head is the minimum.
-     */
-    Cycle
-    nextEventAt() const override
-    {
-        return spdPort_.queue.empty() ? kNeverCycle
-                                      : spdPort_.queue.front().first;
-    }
-
-    /**
-     * Closed-form advance over @p n cycles the caller has proven
-     * quiescent (quiescent() holds and nextEventAt() > now + n).
+     * Closed-form advance over @p n cycles nextEventAt() proved quiet.
      * Accumulates the per-cycle stall stats a slice-full fill retry
      * would have produced, so skipped runs stay bit-identical.
      */
-    void skipCycles(Cycle n) override;
-
-    /** This instance's clock (kept in sync with the System clock). */
-    Cycle localNow() const override { return now_; }
+    void skipCycles(Cycle n);
 
     /** Tile ready bit (true = no in-flight instruction uses it). */
     bool tileReady(unsigned tile) const;
@@ -262,6 +246,24 @@ class Dx100 final : public Component,
         void complete(const std::uint64_t &tag) override;
     };
 
+    /**
+     * A unit's admission-blocked wait: armed when a send was refused,
+     * it holds until the LLC port or the DRAM request buffers record a
+     * departure. llc is the LLC port's departures(), read when armed;
+     * null when the wait is not armed.
+     */
+    struct PortWait
+    {
+        const std::uint64_t *llc = nullptr;
+        std::uint64_t pops = 0; //!< LLC + DRAM departures when armed
+    };
+
+    /** Arm @p w; false when the LLC port does not track departures. */
+    bool armPortWait(PortWait &w) const;
+
+    /** @p w is not armed, or no departure was recorded since. */
+    bool portWaitHolds(const PortWait &w) const;
+
     struct StreamUnit
     {
         bool busy = false;
@@ -276,22 +278,22 @@ class Dx100 final : public Component,
          * Set by streamTick() after a cycle that issued nothing and
          * could not retire: the next tick is a provable no-op until a
          * response arrives (StreamSink::complete clears the
-         * flag) or, when the LLC refused admission (waitBlocked),
-         * until a port departure (watched via waitPops). Never set
-         * while gated on a producer's finish bits — those advance in
-         * later unit ticks of the same cycle.
+         * flag) or, when the LLC refused admission, until a port
+         * departure (portWait). Never set while gated on a producer's
+         * finish bits — those advance in later unit ticks of the same
+         * cycle.
          */
         bool waitIdle = false;
-        bool waitBlocked = false;
-        std::uint64_t waitPops = 0;
+        PortWait portWait;
 
         /**
          * The no-issue cycle was gated on a producer's finish bits at
          * the recorded prefix. Unlike waitIdle this cannot be trusted
-         * as-is (producers tick later in the same cycle): quiescent()
-         * revalidates it by recomputing gateLimit and comparing with
-         * gatePrefix — equal means the producer has not advanced, so
-         * the next tick recomputes the same gate and is a no-op.
+         * as-is (producers tick later in the same cycle):
+         * nextEventAt() revalidates it by recomputing gateLimit and
+         * comparing with gatePrefix — equal means the producer has not
+         * advanced, so the next tick recomputes the same gate and is a
+         * no-op.
          */
         bool waitGated = false;
         std::uint32_t gatePrefix = 0;
@@ -332,13 +334,11 @@ class Dx100 final : public Component,
          * drain phase with every issued request in flight. The next
          * tick is provably a no-op until a response arrives (the
          * response entry points clear the flag) — or, when a sendable
-         * request/write was merely blocked on DRAM/LLC admission
-         * (waitBlocked), until those ports record a departure
-         * (watched via waitPops, see CachePort::popCount).
+         * request/write was merely blocked on DRAM/LLC admission,
+         * until those ports record a departure (portWait).
          */
         bool waitIdle = false;
-        bool waitBlocked = false;
-        std::uint64_t waitPops = 0;
+        PortWait portWait;
 
         /**
          * The wait-idle cycle was a slice-full fill retry: the only
@@ -359,13 +359,6 @@ class Dx100 final : public Component,
     /** Returns {sent any write, head write blocked on admission}. */
     std::pair<bool, bool> indirectWrites(IndirectUnit &u);
     bool indirectDone(const IndirectUnit &u) const;
-
-    /**
-     * Combined departure count of the ports the indirect drain loop
-     * can block on (LLC input queue + DRAM request buffers);
-     * kPortPopsUnknown if the LLC port cannot track departures.
-     */
-    std::uint64_t drainPops() const;
 
     // ---- fixed-throughput units ------------------------------------------
 
@@ -396,8 +389,6 @@ class Dx100 final : public Component,
     mem::DramSystem &dram_;
     //! Cache interface (may stay unbound in unit tests).
     PortSlot<cache::CacheReq> llcPort_{"llc"};
-    //! LLC pop counter, resolved once at wiring (null if untracked).
-    const std::uint64_t *llcPopAddr_ = nullptr;
     CoherencyAgent agent_;
     Tlb tlb_;
     RegionDirectory *regionDir_ = nullptr;
@@ -416,7 +407,7 @@ class Dx100 final : public Component,
 
     /**
      * Last tryDispatch() scan found nothing dispatchable, for reasons
-     * frozen while the whole accelerator is quiescent (unit-busy and
+     * frozen while the whole accelerator is quiet (unit-busy and
      * hazard masks; never set when a region-ownership retry — which
      * re-arbitrates against the clock — was involved). Cleared when
      * the queue grows (mmioWrite) or a unit retires. While it holds,

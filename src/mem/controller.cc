@@ -96,7 +96,7 @@ MemoryController::enqueue(const MemRequest &req)
 }
 
 bool
-MemoryController::idle() const
+MemoryController::drained() const
 {
     return readQueue_.empty() && writeQueue_.empty() && pending_.empty();
 }

@@ -95,27 +95,22 @@ class MemoryController final : public Component
     void enqueue(const MemRequest &req);
 
     /** Advance one controller clock cycle. */
-    void tick() override;
+    void tick();
 
     /**
-     * Quiescence contract (see DESIGN.md): the next controller tick
-     * would be a no-op except for the closed-form per-cycle stats
-     * (cycles, occupancyAccum) — no response due, no refresh activity,
-     * no write-mode toggle, no command issuable.
-     */
-    bool quiescent() const override { return nextEventAt() > now_ + 1; }
-
-    /**
-     * Conservative earliest controller cycle at which tick() could act:
-     * the head in-flight response, the next refresh deadline, a pending
-     * write-mode toggle, or the earliest command a bank with entries
-     * in the queue being served could take (earliestCommandAt). May be
+     * Tick contract (see DESIGN.md §4c): the conservative earliest
+     * controller cycle at which tick() could act — the head in-flight
+     * response, the next refresh deadline, a pending write-mode
+     * toggle, or the earliest command a bank with entries in the queue
+     * being served could take (earliestCommandAt). May be
      * earlier than the true event (that only degrades to normal
-     * ticking), never later. The O(banks) scan is cached until a
-     * productive tick; an enqueue folds the new entry into the cache.
+     * ticking), never later. Every tick before it would be a no-op
+     * except for the closed-form per-cycle stats (cycles,
+     * occupancyAccum). The O(banks) scan is cached until a productive
+     * tick; an enqueue folds the new entry into the cache.
      */
     Cycle
-    nextEventAt() const override
+    nextEventAt() const
     {
         if (!eventHintValid_)
             refreshEventHint();
@@ -129,10 +124,10 @@ class MemoryController final : public Component
 
     /**
      * Closed-form advance over @p n controller cycles the caller has
-     * proven quiescent (nextEventAt() > now() + n).
+     * proven quiet (nextEventAt() > now() + n).
      */
     void
-    skipCycles(Cycle n) override
+    skipCycles(Cycle n)
     {
         now_ += n;
         stats_.cycles += n;
@@ -143,14 +138,8 @@ class MemoryController final : public Component
     /** Current controller cycle. */
     Cycle now() const { return now_; }
 
-    /** Component clock: the controller-domain cycle. */
-    Cycle localNow() const override { return now_; }
-
     /** True when both queues and in-flight responses are empty. */
-    bool idle() const;
-
-    /** Component drain is the same predicate as idle(). */
-    bool drained() const override { return idle(); }
+    bool drained() const;
 
     // Component introspection.
     void registerStats(StatRegistry &reg) const override;

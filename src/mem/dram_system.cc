@@ -64,7 +64,7 @@ DramSystem::tickScheduled()
         phase_ = 0;
         bool allSkipped = true;
         for (auto &ch : channels_) {
-            if (ch->quiescent()) {
+            if (ch->nextEventAt() > ch->now() + 1) {
                 ch->skipCycles(1);
             } else {
                 ch->tick();
@@ -106,10 +106,10 @@ DramSystem::skipCycles(Cycle n)
 }
 
 bool
-DramSystem::idle() const
+DramSystem::drained() const
 {
     for (const auto &ch : channels_) {
-        if (!ch->idle())
+        if (!ch->drained())
             return false;
     }
     return true;

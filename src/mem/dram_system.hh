@@ -45,9 +45,9 @@ class DramSystem final : public Component
     std::uint64_t dequeueCount() const { return totalDequeues_; }
 
     /**
-     * Stable address of that sum, for per-cycle waiters (see
-     * CachePort::popCountAddr): the channels mirror every dequeue
-     * into it, so a probe is one load instead of a channel loop.
+     * Live address of that sum, the DRAM port's departures() counter:
+     * the channels mirror every dequeue into it, so a probe is one
+     * load instead of a channel loop.
      */
     const std::uint64_t *dequeueCountAddr() const
     {
@@ -59,10 +59,10 @@ class DramSystem final : public Component
                 std::uint64_t tag, MemRespSink *sink);
 
     /** Advance one core clock cycle. */
-    void tick() override;
+    void tick();
 
     /**
-     * Advance one core clock cycle, skipping quiescent channels on a
+     * Advance one core clock cycle, skipping quiet channels on a
      * controller-clock edge via their closed-form skipCycles instead of
      * ticking them. Observable-state equivalent to tick(). Returns
      * true when no channel had to run (off-phase cycle or all skipped).
@@ -70,33 +70,21 @@ class DramSystem final : public Component
     bool tickScheduled();
 
     /**
-     * No channel can act at the next core cycle (the clock-domain
-     * analogue of the component quiescent() predicates).
-     */
-    bool quiescent() const override { return nextEventAt() > now_ + 1; }
-
-    /**
      * Earliest *core* cycle any channel could act, translated from the
      * controller clock domain through the divider phase; kNeverCycle
      * when every channel is idle with no timers running.
      */
-    Cycle nextEventAt() const override;
+    Cycle nextEventAt() const;
 
     /**
      * Closed-form advance over @p n core cycles the caller has proven
-     * quiescent: folds the divider phase forward and skips the covered
+     * quiet: folds the divider phase forward and skips the covered
      * controller cycles in every channel.
      */
-    void skipCycles(Cycle n) override;
-
-    /** This system's core-domain clock (in sync with System's). */
-    Cycle localNow() const override { return now_; }
+    void skipCycles(Cycle n);
 
     /** True when all channels are drained. */
-    bool idle() const;
-
-    /** Component drain is the same predicate as idle(). */
-    bool drained() const override { return idle(); }
+    bool drained() const;
 
     // Component introspection (system-wide aggregates; the channels
     // register their own per-channel groups as children).

@@ -3,22 +3,20 @@
  * Component: the common base of everything the simulator instantiates.
  *
  * A component has a name, a position in the ownership tree (parent /
- * children, dotted path like "system.core0.l1d"), the tick/quiescence
- * scheduling contract (see DESIGN.md §4c and §5) folded in as virtuals,
- * and two introspection hooks: registerStats() publishes its counters
- * under its path into a StatRegistry, portRefs() reports its request
- * port slots for the connectivity audit.
+ * children, dotted path like "system.core0.l1d") and two introspection
+ * hooks: registerStats() publishes its counters under its path into a
+ * StatRegistry, portRefs() reports its request port slots for the
+ * connectivity audit.
  *
- * The virtuals exist for generic traversal — stat registration, the
- * topology tests, debugging. The System scheduler keeps calling the
- * contract through concrete types (every migrated class is `final`), so
- * the memoized inline fast paths stay statically dispatched and the
- * naive-vs-scheduled bit-identity and performance are unchanged.
+ * Scheduling is not virtual. The System calls the members of the
+ * Ticked concept below through each component's concrete `final`
+ * type, so the memoized inline fast paths are statically dispatched.
  */
 
 #ifndef DX_SIM_COMPONENT_HH
 #define DX_SIM_COMPONENT_HH
 
+#include <concepts>
 #include <string>
 #include <vector>
 
@@ -62,41 +60,6 @@ class Component
     /** Dotted path from the root, e.g. "system.core0.l1d". */
     std::string path() const;
 
-    // ---- tick/quiescence contract (DESIGN.md §4c) ----------------------
-    //
-    // Passive components (never ticked — e.g. a prefetcher that acts
-    // inside its cache's tick) inherit the no-op defaults; every ticked
-    // component overrides the full set.
-
-    /** Advance one local-clock cycle. */
-    virtual void tick() {}
-
-    /**
-     * tick() this cycle would change nothing but the closed-form
-     * per-cycle stats; see each component's override for its memo.
-     */
-    virtual bool quiescent() const { return true; }
-
-    /**
-     * Earliest cycle tick() could act again without external stimulus;
-     * kNeverCycle when only external stimulus can wake the component.
-     * Only meaningful while quiescent().
-     */
-    virtual Cycle nextEventAt() const { return kNeverCycle; }
-
-    /**
-     * Closed-form advance over @p n cycles the caller has proven
-     * quiescent, accumulating exactly the stats the naive per-cycle
-     * loop would have.
-     */
-    virtual void skipCycles(Cycle n) { (void)n; }
-
-    /** This component's clock (kept in sync with the System clock). */
-    virtual Cycle localNow() const { return 0; }
-
-    /** Nothing in flight: the termination-side twin of quiescent(). */
-    virtual bool drained() const { return true; }
-
     // ---- introspection -------------------------------------------------
 
     /** Publish counters/gauges under path() into @p reg. */
@@ -109,6 +72,23 @@ class Component
     std::string name_;
     Component *parent_ = nullptr;
     std::vector<Component *> children_;
+};
+
+/**
+ * The tick contract every component the System ticks meets (DESIGN.md
+ * §4c). nextEventAt() is the earliest cycle tick() could act without
+ * external stimulus: a value at or before the cycle being decided
+ * means "tick me", kNeverCycle means only external stimulus can wake
+ * it. skipCycles(n) is the closed form of n ticks that nextEventAt()
+ * proved no-ops, accruing exactly the stats the naive loop would have.
+ * drained() means nothing is in flight (run termination).
+ */
+template <typename C>
+concept Ticked = requires(C &c, const C &cc, Cycle n) {
+    c.tick();
+    { cc.nextEventAt() } -> std::same_as<Cycle>;
+    c.skipCycles(n);
+    { cc.drained() } -> std::same_as<bool>;
 };
 
 /**

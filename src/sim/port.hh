@@ -3,7 +3,8 @@
  * The unified port layer: every request/response link between
  * components is an instantiation of the two templates below.
  *
- *  - RequestPort<Req> is the admission-gated request side. The cache
+ *  - RequestPort<Req> is the admission-gated request side, with one
+ *    departures() counter for waiters that found it full. The cache
  *    hierarchy's CachePort, the DRAM adapter, the range router and
  *    DX100's scratchpad port are all RequestPort<cache::CacheReq>.
  *  - Completion<Payload> is the response side. Cache fill callbacks
@@ -31,9 +32,6 @@
 namespace dx
 {
 
-/** popCount() value for ports that do not track departures. */
-inline constexpr std::uint64_t kPortPopsUnknown = ~std::uint64_t{0};
-
 /** Receives typed completions (the response half of every link). */
 template <typename Payload>
 class Completion
@@ -52,25 +50,15 @@ class RequestPort
     virtual bool canAccept() const = 0;
 
     /**
-     * Monotonic count of departures from whatever resource gates
-     * admission here (queue pops, command issues). Arrivals never free
-     * space, so a waiter that found the port full may cache that
-     * verdict and re-probe only when the count moves instead of every
-     * cycle — the scheduler's cheap alternative to per-cycle polling.
-     * Ports that do not track departures return kPortPopsUnknown,
-     * which waiters must treat as "never cache".
+     * Live address of a monotonic count of departures from whatever
+     * gates admission here (queue pops, command issues); null when the
+     * port does not track them. Arrivals never free space, so a waiter
+     * that found the port full may arm a memo with this pointer and the
+     * count it read, and re-probe only once the count moves. Read it
+     * when arming, not at wiring: a port may stop tracking as it is
+     * wired further (RangeRouter::addRange).
      */
-    virtual std::uint64_t popCount() const { return kPortPopsUnknown; }
-
-    /**
-     * Stable address of the counter popCount() reads, for waiters that
-     * probe it every cycle (the quiescence fast paths): one load
-     * instead of a virtual call. Null when the count is aggregated or
-     * untracked — callers must then fall back to popCount(). The
-     * address must stay valid and live-updating for the port's
-     * lifetime.
-     */
-    virtual const std::uint64_t *popCountAddr() const { return nullptr; }
+    virtual const std::uint64_t *departures() const { return nullptr; }
 
     /**
      * Request-specific admission: ports that multiplex resources by

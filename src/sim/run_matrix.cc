@@ -1,8 +1,6 @@
 #include "sim/run_matrix.hh"
 
-#include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <limits>
@@ -13,27 +11,6 @@
 
 namespace dx::sim
 {
-
-namespace
-{
-
-/**
- * DX_CELL_TIME=1 emits a per-cell wall-clock timing line after each
- * simulated (non-cached) cell, for scheduler perf comparisons (see
- * tools/perf_smoke.sh). Off by default: the lines are diagnostics, not
- * part of any BENCH_*.json output.
- */
-bool
-cellTimeEnabled()
-{
-    static const bool enabled = [] {
-        const char *env = std::getenv("DX_CELL_TIME");
-        return env && env[0] == '1' && env[1] == '\0';
-    }();
-    return enabled;
-}
-
-} // namespace
 
 // ---------------------------------------------------------------------
 // MatrixResult
@@ -226,18 +203,8 @@ RunMatrix::run(const ExpOptions &opt) const
                  }
                  dx_inform("run ...");
                  auto workload = w.make(wl::Scale{effScale});
-                 const auto t0 = std::chrono::steady_clock::now();
                  const RunStats stats =
                      runWorkloadOnce(*workload, c.cfg);
-                 if (cellTimeEnabled()) {
-                     const auto ns =
-                         std::chrono::duration_cast<
-                             std::chrono::nanoseconds>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
-                     dx_inform("cell time ", ns / 1e6, " ms, ",
-                               stats.cycles, " cycles");
-                 }
                  if (useCache)
                      storeCachedStats(path, stats);
                  return stats;

@@ -89,6 +89,25 @@ SystemConfig::validate() const
                  " banks per channel; it must be 1..64 (the memory "
                  "controller tracks a channel's banks in one 64-bit "
                  "mask) — use fewer ranks or more channels");
+    const mem::MemoryController::Config &ctrl = dram.ctrl;
+    if (ctrl.readQueueSize == 0 || ctrl.writeQueueSize == 0)
+        dx_fatal("SystemConfig: dram readQueueSize=", ctrl.readQueueSize,
+                 " and writeQueueSize=", ctrl.writeQueueSize,
+                 " must both be at least 1 — a zero queue never admits "
+                 "a request, so the run can never finish");
+    if (ctrl.writeLoWatermark >= ctrl.writeHiWatermark ||
+        ctrl.writeHiWatermark > ctrl.writeQueueSize)
+        dx_fatal("SystemConfig: dram write watermarks must satisfy "
+                 "lo < hi <= writeQueueSize (got writeLoWatermark=",
+                 ctrl.writeLoWatermark, ", writeHiWatermark=",
+                 ctrl.writeHiWatermark, ", writeQueueSize=",
+                 ctrl.writeQueueSize, "); a high watermark above the "
+                 "queue never starts a write drain — try 3/4 and 1/4 of "
+                 "the queue");
+    if (dx100Instances > 0 && dx.spdPortQueue == 0)
+        dx_fatal("SystemConfig: dx.spdPortQueue must be at least 1 — a "
+                 "zero scratchpad port queue never admits the cores' "
+                 "loads of gathered data, so the run can never finish");
 }
 
 unsigned
@@ -213,23 +232,18 @@ resolveNaiveTick(TickPolicy policy)
 }
 
 /**
- * Skip @p c one cycle when its own hint proves the tick a no-op.
- * Returns the component's event hint when it skipped, 0 when it had to
- * tick (0 is never a legal hint: hints exceed the component's clock).
+ * Skip @p c one cycle when its next event lies beyond @p now, the
+ * cycle being decided. Returns that event when it skipped, 0 when it
+ * had to tick (a skipped event exceeds now, so it is never 0).
  */
 template <typename C>
 Cycle
-tickOrSkip(C &c)
+tickOrSkip(C &c, Cycle now)
 {
-    // c's clock trails the advanced System clock by one here, so the
-    // tick being decided lands on localNow() + 1: skip only when the
-    // next event lies strictly beyond it.
-    if (c.quiescent()) {
-        const Cycle ev = c.nextEventAt();
-        if (ev > c.localNow() + 1) {
-            c.skipCycles(1);
-            return ev;
-        }
+    const Cycle ev = c.nextEventAt();
+    if (ev > now) {
+        c.skipCycles(1);
+        return ev;
     }
     c.tick();
     return 0;
@@ -241,7 +255,7 @@ tickOrSkip(C &c)
  * it is only worth computing when every other component skipped too.
  */
 Cycle
-tickOrSkip(mem::DramSystem &d)
+tickOrSkip(mem::DramSystem &d, Cycle)
 {
     return d.tickScheduled() ? kNeverCycle : 0;
 }
@@ -357,7 +371,7 @@ System::tickScheduled()
     Cycle ev = kNeverCycle;
     bool allSkipped = true;
     forEachInTickOrder([&](auto &c) {
-        const Cycle r = tickOrSkip(c);
+        const Cycle r = tickOrSkip(c, now_);
         if (r == 0)
             allSkipped = false;
         else

@@ -34,9 +34,9 @@ namespace dx::sim
 /**
  * How System::run advances simulated time (see DESIGN.md):
  *  - kNaive ticks every component every cycle (the reference loop);
- *  - kQuiescent skips components whose quiescent()/nextEventAt()
- *    contract proves the tick a no-op, and fast-forwards globally
- *    quiescent stretches in one closed-form step. Bit-identical stats.
+ *  - kQuiescent skips components whose nextEventAt() lies beyond the
+ *    cycle being decided, and fast-forwards stretches where every
+ *    component is quiet in one closed-form step. Bit-identical stats.
  *  - kAuto resolves to kNaive when the DX_NAIVE_TICK=1 environment
  *    escape hatch is set, else kQuiescent.
  */
@@ -77,7 +77,9 @@ struct SystemConfig
      * script actually makes, with actionable messages: zero cores,
      * cache geometries whose set count is not a power of two,
      * accelerator-vs-DMP conflicts, zero-width core structures,
-     * non-power-of-two channel counts. dx_fatal on the first problem
+     * non-power-of-two channel counts, DRAM or scratchpad-port queues
+     * that can never admit a request, write watermarks outside
+     * lo < hi <= queue. dx_fatal on the first problem
      * found. Called by System's constructor (via TopologyBuilder) and
      * by RunMatrix::addConfig, so every bench validates up front.
      */
@@ -202,7 +204,7 @@ class System final : public Component
     void warmLlc(Addr base, Addr size);
 
     /** Tick every component once (the naive reference scheduler). */
-    void tick() override;
+    void tick();
 
     /**
      * Advance one cycle, replacing each provably no-op component tick
@@ -213,7 +215,7 @@ class System final : public Component
      * Returns 0 when some component had to run, else the earliest
      * nextEventAt() across all components. In the latter case every
      * skip this cycle was side-effect-free: while all components are
-     * quiescent no cross-component callbacks occur, so no event can
+     * quiet no cross-component callbacks occur, so no event can
      * move earlier and the per-slot hints are a proven fast-forward
      * horizon. run() may skipTo(min(returned - 1, limit)) immediately.
      */
@@ -231,7 +233,7 @@ class System final : public Component
      * prefetcher queues, so a run cannot terminate with requests or
      * prefetch candidates still in flight.
      */
-    bool drained() const override;
+    bool drained() const;
 
     /** True when run() uses the naive scheduler (policy + env). */
     bool naiveTick() const { return naiveTick_; }
@@ -280,8 +282,8 @@ class System final : public Component
     /**
      * Visit every ticked component in tick order — cores, L1s, L2s,
      * LLC, DX100 instances, DRAM — as its concrete `final` type, so
-     * the calls @p f makes are statically dispatched. A const System
-     * visits const components.
+     * the Ticked calls @p f makes are statically dispatched. A const
+     * System visits const components.
      */
     template <typename F>
     void forEachInTickOrder(F &&f) { visitInTickOrder(*this, f); }
@@ -310,6 +312,9 @@ class System final : public Component
             f(at(d));
         f(at(self.dram_));
     }
+
+    static_assert(Ticked<cpu::Core> && Ticked<cache::Cache> &&
+                  Ticked<dx100::Dx100> && Ticked<mem::DramSystem>);
 
     SystemConfig cfg_;
     const bool naiveTick_;

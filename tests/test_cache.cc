@@ -194,7 +194,7 @@ TEST(Cache, WriteAllocateMarksDirtyAndWritesBack)
     EXPECT_EQ(rig.cache.stats().writebacks.value(), 1u);
     // Wait for the DRAM write to drain (cache first, then controller).
     for (int i = 0;
-         i < 5000 && (rig.cache.busy() || !rig.dram.idle()); ++i) {
+         i < 5000 && (rig.cache.busy() || !rig.dram.drained()); ++i) {
         rig.step();
     }
     std::uint64_t writes = 0;

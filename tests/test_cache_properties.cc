@@ -136,7 +136,7 @@ TEST(CacheProperties, DirtyEvictionsAllReachMemory)
     const std::uint64_t dirtyLines = 1024; // 64 KiB of dirty data
     pump(0, dirtyLines, true);
     pump(1 << 20, 2048, false); // evict everything
-    for (int t = 0; t < 200000 && !(dram.idle() && !cache.busy()); ++t) {
+    for (int t = 0; t < 200000 && !(dram.drained() && !cache.busy()); ++t) {
         cache.tick();
         dram.tick();
     }
@@ -324,7 +324,7 @@ TEST_P(MshrIndex, OutOfOrderFillsMatchModel)
                                       : Outcome::kAlloc;
         }
         const std::size_t fetches = down.fetches.size();
-        const std::uint64_t pops = cache.popCount();
+        const std::uint64_t pops = *cache.departures();
         const std::uint64_t coalesced =
             cache.stats().mshrCoalesced.value();
         const std::uint64_t stalls = cache.stats().stallMshrFull.value();
@@ -352,10 +352,10 @@ TEST_P(MshrIndex, OutOfOrderFillsMatchModel)
           case Outcome::kFullStall:
             EXPECT_EQ(down.fetches.size(), fetches);
             EXPECT_EQ(cache.stats().stallMshrFull.value(), stalls + 1);
-            EXPECT_EQ(cache.popCount(), pops);
+            EXPECT_EQ(*cache.departures(), pops);
             continue; // the head stays put and retries
         }
-        EXPECT_EQ(cache.popCount(), pops + 1);
+        EXPECT_EQ(*cache.departures(), pops + 1);
         head.reset();
     }
 
@@ -382,3 +382,38 @@ TEST_P(MshrIndex, OutOfOrderFillsMatchModel)
 
 INSTANTIATE_TEST_SUITE_P(Sizes, MshrIndex,
                          ::testing::Values(1u, 3u, 16u, 256u));
+
+// The departure counters waiters arm their memos on: the cache's and
+// the DRAM port's move when an entry leaves, and the range router
+// forwards its fallback's only while no range is routed.
+TEST(CacheProperties, DepartureCountersTrackPorts)
+{
+    mem::DramSystem::Config dc;
+    dc.ctrl.timings.refreshEnabled = false;
+    mem::DramSystem dram(dc);
+    DramPort port(dram);
+    ASSERT_NE(port.departures(), nullptr);
+    RangeRouter router(port);
+    EXPECT_EQ(router.departures(), port.departures());
+
+    Cache cache(Cache::Config{}, &router);
+    ASSERT_NE(cache.departures(), nullptr);
+    CountingSink sink;
+    CacheReq req;
+    req.addr = 0x1000;
+    req.sink = &sink;
+    cache.request(req);
+    const std::uint64_t cachePops = *cache.departures();
+    const std::uint64_t dramPops = *port.departures();
+    for (int t = 0; t < 10000 && sink.done == 0; ++t) {
+        cache.tick();
+        dram.tick();
+    }
+    ASSERT_EQ(sink.done, 1u);
+    EXPECT_EQ(*cache.departures(), cachePops + 1);
+    EXPECT_EQ(*port.departures(), dramPops + 1);
+
+    FetchRecorder special;
+    router.addRange(Addr{1} << 32, 4096, &special);
+    EXPECT_EQ(router.departures(), nullptr);
+}

@@ -363,6 +363,38 @@ TEST(ComponentTree, ValidateRejectsBadConfigs)
     fourRanks.dram.ctrl.geom.ranks = 4;
     fourRanks.validate();
 
+    // Queues that can never admit a request hang the run at the cycle
+    // limit instead of failing up front.
+    SystemConfig noReadQueue = SystemConfig::baseline();
+    noReadQueue.dram.ctrl.readQueueSize = 0;
+    EXPECT_THROW(noReadQueue.validate(), FatalError);
+    SystemConfig noWriteQueue = SystemConfig::baseline();
+    noWriteQueue.dram.ctrl.writeQueueSize = 0;
+    EXPECT_THROW(noWriteQueue.validate(), FatalError);
+    SystemConfig noSpdQueue = SystemConfig::withDx100();
+    noSpdQueue.dx.spdPortQueue = 0;
+    EXPECT_THROW(noSpdQueue.validate(), FatalError);
+
+    // Write watermarks must satisfy lo < hi <= writeQueueSize.
+    SystemConfig hiAboveQueue;
+    hiAboveQueue.dram.ctrl.writeHiWatermark =
+        hiAboveQueue.dram.ctrl.writeQueueSize + 1;
+    EXPECT_THROW(hiAboveQueue.validate(), FatalError);
+    SystemConfig loNotBelowHi;
+    loNotBelowHi.dram.ctrl.writeLoWatermark =
+        loNotBelowHi.dram.ctrl.writeHiWatermark;
+    EXPECT_THROW(loNotBelowHi.validate(), FatalError);
+
+    // The queue sweep of bench/table_ablation stays valid.
+    for (unsigned q : {8u, 16u, 32u, 64u, 128u}) {
+        SystemConfig swept;
+        swept.dram.ctrl.readQueueSize = q;
+        swept.dram.ctrl.writeQueueSize = q;
+        swept.dram.ctrl.writeHiWatermark = 3 * q / 4;
+        swept.dram.ctrl.writeLoWatermark = q / 4;
+        swept.validate();
+    }
+
     // The stock presets must all pass.
     SystemConfig::baseline(2).validate();
     SystemConfig::baseline(8).validate();

@@ -64,9 +64,9 @@ run(DramSystem &dram, Cycle coreCycles)
 void
 runUntilIdle(DramSystem &dram, Cycle maxCore = 2'000'000)
 {
-    for (Cycle i = 0; i < maxCore && !dram.idle(); ++i)
+    for (Cycle i = 0; i < maxCore && !dram.drained(); ++i)
         dram.tick();
-    ASSERT_TRUE(dram.idle());
+    ASSERT_TRUE(dram.drained());
 }
 
 } // namespace
@@ -164,7 +164,7 @@ TEST(Controller, BankGroupInterleavingBeatsSameBankGroupStreams)
 
         unsigned issued = 0;
         Cycle core = 0;
-        while (issued < 64 || !dram.idle()) {
+        while (issued < 64 || !dram.drained()) {
             while (issued < 64) {
                 DramCoord c{};
                 c.channel = 0;
@@ -288,7 +288,7 @@ TEST(Controller, StreamingReachesHighBusUtilization)
     Addr next = 0;
     const Addr total = 4000;
     Addr issued = 0;
-    while (issued < total || !dram.idle()) {
+    while (issued < total || !dram.drained()) {
         while (issued < total && dram.canAccept(next, false)) {
             dram.access(next, false, Origin::kCpuDemand, issued, &sink);
             next += kLineBytes;
@@ -310,7 +310,7 @@ TEST(Controller, RandomRowsYieldLowRowHitRate)
 
     Addr issued = 0;
     const Addr total = 4000;
-    while (issued < total || !dram.idle()) {
+    while (issued < total || !dram.drained()) {
         while (issued < total) {
             const Addr a =
                 lineAlign(rng.below(dram.geometry().capacity()));
@@ -333,8 +333,8 @@ TEST(Controller, RandomRowsYieldLowRowHitRate)
 // tests/golden/controller_order.txt, so any change to the FR-FCFS
 // choice, a timing rule or refresh shows up here before it reaches the
 // system-level goldens. Each case runs twice: ticking every cycle, and
-// skipping the cycles quiescent()/nextEventAt() prove idle (the §4c
-// contract) — both must reproduce the golden exactly.
+// skipping the cycles nextEventAt() proves idle (the §4c contract) —
+// both must reproduce the golden exactly.
 // Regenerate after an intended change with DX_REGEN_GOLDEN=1
 // (tools/regen_golden.sh does this).
 // ---------------------------------------------------------------------
@@ -458,7 +458,7 @@ runOrderCase(unsigned ranks, unsigned queue, const TrafficMix &mix,
         src[a.req.write].push_back(&a);
 
     const Cycle limit = 10'000'000;
-    while (!(src[0].empty() && src[1].empty() && ctrl.idle()) &&
+    while (!(src[0].empty() && src[1].empty() && ctrl.drained()) &&
            ctrl.now() < limit) {
         Cycle nextArrival = kNeverCycle;
         for (auto &q : src) {
@@ -470,7 +470,7 @@ runOrderCase(unsigned ranks, unsigned queue, const TrafficMix &mix,
             if (!q.empty() && q.front()->at > ctrl.now())
                 nextArrival = std::min(nextArrival, q.front()->at);
         }
-        if (skip && ctrl.quiescent()) {
+        if (skip && ctrl.nextEventAt() > ctrl.now() + 1) {
             const Cycle until =
                 std::min(ctrl.nextEventAt() - 1, nextArrival);
             ctrl.skipCycles(until - ctrl.now());

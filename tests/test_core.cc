@@ -113,7 +113,7 @@ struct CoreRig
     run(Cycle limit = 1'000'000)
     {
         Cycle cycles = 0;
-        while (!core.done() && cycles < limit) {
+        while (!core.drained() && cycles < limit) {
             core.tick();
             l1.tick();
             l2.tick();
@@ -121,7 +121,7 @@ struct CoreRig
             dram.tick();
             ++cycles;
         }
-        EXPECT_TRUE(core.done()) << "core did not finish";
+        EXPECT_TRUE(core.drained()) << "core did not finish";
         return cycles;
     }
 };

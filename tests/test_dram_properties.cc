@@ -79,9 +79,9 @@ TEST_P(TrafficTest, EveryAcceptedRequestServedExactlyOnce)
         }
         dram.tick();
     }
-    for (Cycle t = 0; t < 4'000'000 && !dram.idle(); ++t)
+    for (Cycle t = 0; t < 4'000'000 && !dram.drained(); ++t)
         dram.tick();
-    ASSERT_TRUE(dram.idle()) << "controller failed to drain";
+    ASSERT_TRUE(dram.drained()) << "controller failed to drain";
 
     EXPECT_EQ(sink.reads.size(), expectedReads);
     for (const auto &[tag, count] : sink.reads)
@@ -115,9 +115,9 @@ TEST_P(TrafficTest, CommandAccountingIsConsistent)
         }
         dram.tick();
     }
-    for (Cycle t = 0; t < 4'000'000 && !dram.idle(); ++t)
+    for (Cycle t = 0; t < 4'000'000 && !dram.drained(); ++t)
         dram.tick();
-    ASSERT_TRUE(dram.idle());
+    ASSERT_TRUE(dram.drained());
 
     for (unsigned c = 0; c < dram.channels(); ++c) {
         const auto &s = dram.channel(c).stats();
@@ -175,7 +175,7 @@ TEST(DramTiming, SameBankActToActRespectsTrc)
     c1.row = 1;
     dram.access(map.compose(c0), false, Origin::kCpuDemand, 0, &sink);
     dram.access(map.compose(c1), false, Origin::kCpuDemand, 1, &sink);
-    for (Cycle t = 0; t < 100000 && !dram.idle(); ++t)
+    for (Cycle t = 0; t < 100000 && !dram.drained(); ++t)
         dram.tick();
     ASSERT_EQ(sink.done.size(), 2u);
     const auto &tm = cfg.ctrl.timings;
@@ -202,7 +202,7 @@ TEST(DramTiming, FourActivateWindowLimitsActivationBursts)
         }
     }
     Cycle elapsed = 0;
-    while (!dram.idle()) {
+    while (!dram.drained()) {
         dram.tick();
         ++elapsed;
     }

@@ -50,12 +50,12 @@ struct DxRig
     void
     drain(Cycle limit = 2'000'000)
     {
-        for (Cycle t = 0; t < limit && !dev->idle(); ++t) {
+        for (Cycle t = 0; t < limit && !dev->drained(); ++t) {
             dev->tick();
             sys.dram().tick();
             sys.llc().tick();
         }
-        ASSERT_TRUE(dev->idle());
+        ASSERT_TRUE(dev->drained());
     }
 };
 

@@ -89,7 +89,7 @@ TEST(Extensions, FinishBitsLetConsumerRunUnderProducer)
     rt->ild(e, 0, runtime::DataType::kU32, a, dat, idx);
 
     bool overlapped = false;
-    for (Cycle t = 0; t < 20'000'000 && !sys.dx100(0)->idle(); ++t) {
+    for (Cycle t = 0; t < 20'000'000 && !sys.dx100(0)->drained(); ++t) {
         sys.tick();
         if (t % 256 == 0) {
             const std::string d = sys.dx100(0)->debugDump();
@@ -102,7 +102,7 @@ TEST(Extensions, FinishBitsLetConsumerRunUnderProducer)
                 overlapped = true;
         }
     }
-    ASSERT_TRUE(sys.dx100(0)->idle());
+    ASSERT_TRUE(sys.dx100(0)->drained());
     EXPECT_TRUE(overlapped)
         << "indirect fill never progressed under the live stream";
 

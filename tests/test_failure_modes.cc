@@ -115,7 +115,7 @@ TEST(FailureModes, TlbMissPenaltyIsVisibleInTiming)
         rt->sld(e, 0, runtime::DataType::kU32, b, idx, 0, n);
         rt->ild(e, 0, runtime::DataType::kU32, a, dat, idx);
         Cycle t = 0;
-        while (!sys.dx100(0)->idle() && t < 50'000'000) {
+        while (!sys.dx100(0)->drained() && t < 50'000'000) {
             sys.tick();
             ++t;
         }
@@ -150,11 +150,11 @@ TEST(FailureModes, DispatchSurvivesAdversarialHazardMix)
                            1);
     }
     Cycle t = 0;
-    while (!sys.dx100(0)->idle() && t < 10'000'000) {
+    while (!sys.dx100(0)->drained() && t < 10'000'000) {
         sys.tick();
         ++t;
     }
-    ASSERT_TRUE(sys.dx100(0)->idle());
+    ASSERT_TRUE(sys.dx100(0)->drained());
     EXPECT_TRUE(sys.dx100(0)->mmioReady(lastTok, 0));
     EXPECT_EQ(sys.dx100(0)->stats().instructionsRetired.value(), 21u);
     // Functional result: alternating adds accumulate 20 on the chain.

@@ -2,12 +2,12 @@
  * @file
  * Property test for the quiescence contract (DESIGN.md "Tick
  * scheduler contract"): on randomized micro traces, over the preset
- * configurations and random valid ones, a component that reports
- * quiescent() may have its tick replaced by skipCycles(1) with no
- * observable difference. Because quiescence is
- * stall-accounting (a skipped cycle still accrues the stall counters
- * the naive tick would have bumped), the property is phrased as
- * tick-vs-skip *equivalence*, not "tick is a pure no-op".
+ * configurations and random valid ones, a component whose
+ * nextEventAt() lies beyond the cycle being decided may have its tick
+ * replaced by skipCycles(1) with no observable difference. Because
+ * quiescence is stall-accounting (a skipped cycle still accrues the
+ * stall counters the naive tick would have bumped), the property is
+ * phrased as tick-vs-skip *equivalence*, not "tick is a pure no-op".
  *
  * The harness drives two identical Systems in lockstep — one with the
  * naive tick() loop, one with tickScheduled()/skipTo() exactly as
@@ -98,7 +98,8 @@ presetConfig(std::mt19937 &rng)
 /**
  * A random valid configuration at the edges the presets never reach:
  * 1-8 cores, 1/2/4/8 channels, 0-2 DX100 instances (never with the
- * DMP), and cache MSHR counts and input queues down to one entry.
+ * DMP), and cache MSHR counts and input queues, DRAM read/write queues
+ * and the scratchpad port queue down to one entry.
  */
 SystemConfig
 randomConfig(std::mt19937 &rng)
@@ -123,6 +124,18 @@ randomConfig(std::mt19937 &rng)
         shrink(c->mshrs);
         shrink(c->queueSize);
     }
+    // The other watched ports, too: the DRAM request buffers (write
+    // watermarks scaled as the controller golden test scales them) and
+    // the scratchpad port.
+    mem::MemoryController::Config &ctrl = cfg.dram.ctrl;
+    shrink(ctrl.readQueueSize);
+    const unsigned writeQueue = ctrl.writeQueueSize;
+    shrink(ctrl.writeQueueSize);
+    if (ctrl.writeQueueSize != writeQueue) {
+        ctrl.writeHiWatermark = std::max(1u, ctrl.writeQueueSize * 3 / 4);
+        ctrl.writeLoWatermark = ctrl.writeQueueSize / 4;
+    }
+    shrink(cfg.dx.spdPortQueue);
     cfg.validate();
     return cfg;
 }
@@ -154,7 +167,12 @@ configString(const SystemConfig &c)
        << " dx100=" << c.dx100Instances << " dmp=" << c.dmp
        << " mshrs=" << c.l1.mshrs << "/" << c.l2.mshrs << "/"
        << c.llc.mshrs << " queues=" << c.l1.queueSize << "/"
-       << c.l2.queueSize << "/" << c.llc.queueSize;
+       << c.l2.queueSize << "/" << c.llc.queueSize
+       << " dramQueues=" << c.dram.ctrl.readQueueSize << "/"
+       << c.dram.ctrl.writeQueueSize << " watermarks="
+       << c.dram.ctrl.writeLoWatermark << "/"
+       << c.dram.ctrl.writeHiWatermark
+       << " spdPortQueue=" << c.dx.spdPortQueue;
     return os.str();
 }
 
