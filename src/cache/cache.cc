@@ -15,7 +15,7 @@ Cache::Cache(const Config &cfg, CachePort *downstream)
     : Component(cfg.name), cfg_(cfg)
 {
     dx_assert(downstream, "cache needs a downstream port");
-    downstream_.bind(*downstream);
+    downstream_.bind(*downstream, *this);
     const std::uint64_t lines = cfg_.sizeBytes / kLineBytes;
     dx_assert(lines % cfg_.assoc == 0, "size/assoc mismatch");
     numSets_ = static_cast<unsigned>(lines / cfg_.assoc);
@@ -148,8 +148,8 @@ Cache::canAccept() const
 void
 Cache::request(const CacheReq &req)
 {
+    touch(); // readyAt below reads our clock
     dx_assert(canAccept(), cfg_.name, ": input queue overflow");
-    qMemo_ = QMemo::kNone;
     unsigned tail = queueFront_ + queueLen_;
     if (tail >= cfg_.queueSize)
         tail -= cfg_.queueSize;
@@ -173,7 +173,7 @@ Cache::tagsHold(Addr line) const
 bool
 Cache::invalidateLine(Addr line)
 {
-    qMemo_ = QMemo::kNone;
+    touch();
     Way *way = findWay(lineAlign(line));
     if (!way)
         return false;
@@ -185,8 +185,6 @@ Cache::invalidateLine(Addr line)
 void
 Cache::installLine(Addr line, bool dirty, bool prefetched)
 {
-    qMemo_ = QMemo::kNone;
-
     // Refill of a line that is already present (e.g. a full-line write
     // raced with a fill): just merge the dirty bit.
     if (Way *way = findWay(line)) {
@@ -338,9 +336,9 @@ Cache::processRequest(const CacheReq &req)
 void
 Cache::complete(const std::uint64_t &tag)
 {
+    touch();
     dx_assert(tag < mshrs_.size(), cfg_.name, ": bogus fill tag");
     const unsigned idx = static_cast<unsigned>(tag);
-    qMemo_ = QMemo::kNone;
     Mshr &m = mshrs_[idx];
     dx_assert(mshrLive(idx), cfg_.name, ": fill for idle MSHR");
 
@@ -414,10 +412,10 @@ void
 Cache::tick()
 {
     ++now_;
-    qMemo_ = QMemo::kNone;
     drainWritebacks();
 
-    for (unsigned n = 0; n < cfg_.width && queueLen_ > 0; ++n) {
+    unsigned n = 0;
+    for (; n < cfg_.width && queueLen_ > 0; ++n) {
         const Pending &p = queueHead();
         if (p.readyAt > now_)
             break;
@@ -426,8 +424,9 @@ Cache::tick()
         if (++queueFront_ == cfg_.queueSize)
             queueFront_ = 0;
         --queueLen_;
-        ++popCount_; // a waiter upstream may be watching for space
     }
+    if (n > 0)
+        departed(); // a client upstream may be waiting for space
 
     issuePrefetches();
 }
@@ -491,68 +490,42 @@ Cache::headStall() const
 }
 
 Cycle
-Cache::nextEventAtSlow() const
+Cache::nextEventAt() const
 {
-    qMemo_ = QMemo::kNone;
-
+    sleepStall_ = HeadStall::kNone;
     if (!writebacks_.empty() ||
         (prefetcher_ && prefetcher_->pending())) {
         return now_ + 1;
     }
-    if (queueLen_ == 0) {
-        qMemo_ = QMemo::kTimed;
-        sleepUntil_ = kNeverCycle;
+    if (queueLen_ == 0)
         return kNeverCycle;
-    }
     // The input queue is served in order, so only the head can become
     // due; MSHR fills arrive via complete (external stimulus).
-    if (queueHead().readyAt > now_ + 1) {
-        qMemo_ = QMemo::kTimed;
-        sleepUntil_ = queueHead().readyAt;
-        return sleepUntil_;
-    }
+    if (queueHead().readyAt > now_ + 1)
+        return queueHead().readyAt;
     // Due head: quiet only if the retry would structurally stall, in
     // which case its sole effect is the stall counter skipCycles()
-    // accumulates. Nothing the stall depends on (MSHRs, downstream
-    // queue space) can change except through external stimulus, which
-    // re-evaluates the verdict; entries behind it are blocked in order.
-    switch (headStall()) {
-      case HeadStall::kNone:
-        return now_ + 1;
-      case HeadStall::kMshrFull:
-        // Unblocks only via a fill, which clears the memo.
-        qMemo_ = QMemo::kTimed;
-        sleepUntil_ = kNeverCycle;
-        return kNeverCycle;
-      case HeadStall::kDownstream:
-        // Armed with the counter the port reports now: the LLC's
-        // router stops tracking once a scratchpad range is added.
-        if (const std::uint64_t *pops = downstream_->departures()) {
-            qMemo_ = QMemo::kBlocked;
-            blockedWatch_ = pops;
-            blockedPops_ = *pops;
-        }
-        return kNeverCycle;
-    }
-    return now_ + 1; // unreachable
+    // books. What the stall depends on (MSHRs, downstream queue space)
+    // only changes through a fill or a downstream departure, both of
+    // which touch this cache; entries behind it are blocked in order.
+    sleepStall_ = headStall();
+    return sleepStall_ == HeadStall::kNone ? now_ + 1 : kNeverCycle;
 }
 
 void
-Cache::skipCyclesSlow(Cycle n)
+Cache::skipCycles(Cycle n)
 {
-    if (queueLen_ > 0 && queueHead().readyAt <= now_ + 1) {
-        switch (headStall()) {
-          case HeadStall::kMshrFull:
-            stats_.stallMshrFull += n;
-            break;
-          case HeadStall::kDownstream:
-            stats_.stallDownstream += n;
-            break;
-          case HeadStall::kNone:
-            break;
-        }
-    }
     now_ += n;
+    switch (sleepStall_) {
+      case HeadStall::kMshrFull:
+        stats_.stallMshrFull += n;
+        break;
+      case HeadStall::kDownstream:
+        stats_.stallDownstream += n;
+        break;
+      case HeadStall::kNone:
+        break;
+    }
 }
 
 void

@@ -75,7 +75,6 @@ class Cache final : public Component,
     // CachePort (upstream-facing).
     bool canAccept() const override;
     void request(const CacheReq &req) override;
-    const std::uint64_t *departures() const override { return &popCount_; }
 
     // CacheRespSink (downstream fill responses).
     void complete(const std::uint64_t &tag) override;
@@ -98,56 +97,18 @@ class Cache final : public Component,
      * now + 1 when the next tick must run. Quiet means no processable
      * queue entry, no writeback awaiting drain and no prefetch
      * candidate. A due head that would structurally stall (MSHR or
-     * downstream full) is quiet: the retry's only effect is a stall
-     * counter, which skipCycles() accumulates closed-form.
-     *
-     * Inline fast path: the scheduler probes every component every
-     * cycle, so the common long-lived memos must cost two compares at
-     * the call site, not a cross-TU call.
+     * downstream full) is quiet until a fill or a downstream departure
+     * touches this cache: the retry's only effect is a stall counter,
+     * and the stall found here is recorded for skipCycles().
      */
-    Cycle
-    nextEventAt() const
-    {
-        if (qMemo_ == QMemo::kTimed && now_ + 1 < sleepUntil_)
-            return sleepUntil_;
-        // Downstream-blocked head: still stalled while the port's
-        // departure count is unmoved (arrivals never free space). A
-        // blocked head has no timed self-event.
-        if (qMemo_ == QMemo::kBlocked && *blockedWatch_ == blockedPops_)
-            return kNeverCycle;
-        return nextEventAtSlow();
-    }
+    Cycle nextEventAt() const;
 
     /**
-     * Closed-form advance over @p n cycles nextEventAt() proved quiet,
-     * accumulating the per-cycle stall counter a due-but-stalled head
-     * would have bumped. Inline fast path: no due head, nothing to
-     * accumulate but the clock.
+     * Closed-form advance over @p n cycles nextEventAt() proved quiet:
+     * books the stall nextEventAt() recorded. It is never re-derived
+     * here, since a downstream port may have drained since.
      */
-    void
-    skipCycles(Cycle n)
-    {
-        // kBlocked is only ever established for a due head stalled on
-        // the downstream port, so the accumulated counter is fixed.
-        if (qMemo_ == QMemo::kBlocked) {
-            stats_.stallDownstream += n;
-            now_ += n;
-            return;
-        }
-        if (queueLen_ == 0 || queueHead().readyAt > now_ + 1) {
-            now_ += n;
-            return;
-        }
-        // A due head under a kTimed verdict that never wakes was
-        // classified kMshrFull by nextEventAtSlow(), and only a fill
-        // (which clears the verdict) can change that.
-        if (qMemo_ == QMemo::kTimed && sleepUntil_ == kNeverCycle) {
-            stats_.stallMshrFull += n;
-            now_ += n;
-            return;
-        }
-        skipCyclesSlow(n);
-    }
+    void skipCycles(Cycle n);
 
     /** True if any request, MSHR or writeback is in flight. */
     bool busy() const;
@@ -253,8 +214,7 @@ class Cache final : public Component,
     /**
      * Why processRequest(queueHead()) would stall this cycle
      * (kNone = it would make progress). Mirrors processRequest's stall
-     * paths exactly; shared by nextEventAt() and skipCycles() so skipped
-     * stall counters match the naive loop's bit-for-bit.
+     * paths exactly.
      */
     enum class HeadStall : std::uint8_t
     {
@@ -264,34 +224,8 @@ class Cache final : public Component,
     };
     HeadStall headStall() const;
 
-    // Out-of-line halves of the tick contract: everything past the
-    // header-inlined memo checks.
-    Cycle nextEventAtSlow() const;
-    void skipCyclesSlow(Cycle n);
-
-    /**
-     * Cross-cycle memo of the nextEventAt() verdict, so the common
-     * long-lived idle shapes cost one compare per scheduler query:
-     *  - kTimed: idle (or head not yet due) until sleepUntil_, or a
-     *    due head stalled on MSHRs (sleepUntil_ = kNeverCycle); every
-     *    state the verdict reads only moves through this cache's entry
-     *    points, which clear the memo.
-     *  - kBlocked: head due but stalled on a full downstream port;
-     *    still stalled as long as the counter blockedWatch_ points at
-     *    (the port's departures(), read when armed) has not moved.
-     * Cleared by tick(), request(), complete(),
-     * invalidateLine() and installLine().
-     */
-    enum class QMemo : std::uint8_t
-    {
-        kNone,
-        kTimed,
-        kBlocked,
-    };
-    mutable QMemo qMemo_ = QMemo::kNone;
-    mutable Cycle sleepUntil_ = 0;
-    mutable const std::uint64_t *blockedWatch_ = nullptr;
-    mutable std::uint64_t blockedPops_ = 0;
+    /** The due head's stall when nextEventAt() last put us to sleep. */
+    mutable HeadStall sleepStall_ = HeadStall::kNone;
 
     void issuePrefetches();
     void drainWritebacks();
@@ -317,7 +251,6 @@ class Cache final : public Component,
     unsigned queueFront_ = 0; //!< slot of the oldest entry
     unsigned queueLen_ = 0;
     std::deque<Addr> writebacks_; //!< dirty victim lines awaiting drain
-    std::uint64_t popCount_ = 0;  //!< input-queue departures
 
     Cycle now_ = 0;
     std::uint64_t useCounter_ = 0;

@@ -27,12 +27,8 @@ class DramPort : public CachePort, public mem::MemRespSink
     void request(const CacheReq &req) override;
     void complete(const mem::MemRequest &req) override;
 
-    /** Admission is gated on controller buffers; report their drains. */
-    const std::uint64_t *
-    departures() const override
-    {
-        return dram_.dequeueCountAddr();
-    }
+    /** Admission is gated on controller buffers; wake on their drains. */
+    void addClient(Component &client) override { dram_.addClient(client); }
 
     bool busy() const { return inflight_ > 0; }
 
@@ -52,24 +48,28 @@ class RangeRouter : public CachePort
   public:
     RangeRouter(CachePort &fallback) : fallback_(&fallback) {}
 
+    /** Route [base, base+size) to @p port; an entry leaving it wakes
+     *  every client of this router, including ones bound before. */
     void
     addRange(Addr base, Addr size, CachePort *port)
     {
         ranges_.push_back({base, base + size, port});
+        for (Component *c : clients_)
+            port->addClient(*c);
     }
 
     bool canAccept() const override;
     bool canAcceptReq(const CacheReq &req) const override;
     void request(const CacheReq &req) override;
 
-    /**
-     * The fallback's departures while no range is routed; none once
-     * one is, since the routed ports are counted apart.
-     */
-    const std::uint64_t *
-    departures() const override
+    /** A client waits on the fallback and on every routed port. */
+    void
+    addClient(Component &client) override
     {
-        return ranges_.empty() ? fallback_->departures() : nullptr;
+        CachePort::addClient(client);
+        fallback_->addClient(client);
+        for (const Range &r : ranges_)
+            r.port->addClient(client);
     }
 
   private:

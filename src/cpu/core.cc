@@ -35,7 +35,7 @@ Core::Core(const Config &cfg, int id, cache::CachePort *l1)
       rob_(cfg.robSize), wheel_(64)
 {
     dx_assert(l1, "core needs an L1 port");
-    l1_.bind(*l1);
+    l1_.bind(*l1, *this);
 }
 
 Core::RobEntry &
@@ -177,8 +177,7 @@ Core::markComplete(SeqNum seq)
 void
 Core::complete(const std::uint64_t &tag)
 {
-    sleepValid_ = false;
-    blockedWatch_ = nullptr;
+    touch();
     if (tag & kStoreTag) {
         dx_assert(sqUsed_ > 0 && inflightStoreWrites_ > 0,
                   "spurious store completion");
@@ -373,8 +372,6 @@ void
 Core::tick()
 {
     ++now_;
-    sleepValid_ = false;
-    blockedWatch_ = nullptr;
     ++stats_.cycles;
     stats_.robOccupancyAccum += robTail_ - robHead_;
     stats_.lqOccupancyAccum += lqUsed_;
@@ -414,9 +411,8 @@ Core::dispatchStall() const
 }
 
 Cycle
-Core::nextEventAtSlow() const
+Core::nextEventAt() const
 {
-    blockedWatch_ = nullptr;
     // Structural activity a tick would advance: wheel completions,
     // then the ready queue and store drain, which are only no-ops when
     // blocked on a full L1 input queue.
@@ -446,6 +442,11 @@ Core::nextEventAtSlow() const
     // dispatch() would move the front-end head into the ROB.
     if (!opBuffer_.empty() && dispatchStall() == DispatchStall::kNone)
         return now_ + 1;
+    // Otherwise asleep until the next MMIO delivery or kDxWait poll. A
+    // verdict that consulted the L1 holds until the L1 pops a queue
+    // entry, which wakes us (arrivals never free space).
+    Cycle ev = mmioBuffer_.empty() ? kNeverCycle
+                                   : mmioBuffer_.front().first;
     if (robHead_ != robTail_) {
         const RobEntry &e = entry(robHead_);
         // commit() would retire.
@@ -459,31 +460,8 @@ Core::nextEventAtSlow() const
             inflightStoreWrites_ == 0 && mmioBuffer_.empty()) {
             return now_ + 1;
         }
-    }
-    // Sleep-stable when no check above consulted the L1. Otherwise the
-    // verdict is L1-gated — it holds exactly until the L1 pops a queue
-    // entry, so arm it on the departure counter the L1 reports now.
-    if (readyQueue_.empty() && storeBuffer_.empty()) {
-        sleepValid_ = true;
-    } else if (const std::uint64_t *pops = l1_->departures()) {
-        blockedWatch_ = pops;
-        blockedPops_ = *pops;
-    }
-    return timedEventAt();
-}
-
-Cycle
-Core::timedEventAt() const
-{
-    Cycle ev = kNeverCycle;
-    if (!mmioBuffer_.empty())
-        ev = std::min(ev, mmioBuffer_.front().first);
-    if (robHead_ != robTail_) {
-        const RobEntry &e = entry(robHead_);
-        if (e.state != EntryState::kComplete && e.headBlocked &&
-            e.op.kind == OpKind::kDxWait) {
+        if (e.headBlocked && e.op.kind == OpKind::kDxWait)
             ev = std::min(ev, nextPollAt_);
-        }
     }
     return ev;
 }
@@ -495,12 +473,7 @@ Core::skipCycles(Cycle n)
     stats_.cycles += n;
     stats_.robOccupancyAccum += n * (robTail_ - robHead_);
     stats_.lqOccupancyAccum += n * lqUsed_;
-    if (n == 1) {
-        if (++wheelPos_ == wheel_.size())
-            wheelPos_ = 0;
-    } else {
-        wheelPos_ = static_cast<unsigned>((wheelPos_ + n) % wheel_.size());
-    }
+    wheelPos_ = static_cast<unsigned>((wheelPos_ + n) % wheel_.size());
 
     // Exactly the per-cycle counters the naive loop would have bumped
     // while frozen in this state.

@@ -68,9 +68,8 @@ class Core final : public Component,
     void
     setKernel(Kernel *kernel)
     {
+        touch();
         kernel_ = kernel;
-        sleepValid_ = false;
-        blockedWatch_ = nullptr;
     }
 
     /** Attach the MMIO device (DX100 instance) visible to this core. */
@@ -83,24 +82,14 @@ class Core final : public Component,
      * Tick contract (see DESIGN.md §4c): the earliest cycle tick()
      * could act again without external stimulus — the next MMIO
      * delivery or kDxWait poll, kNeverCycle when only a cache response
-     * can wake us — or now + 1 when the next tick must run. Quiet means
-     * tick() would change nothing but the closed-form per-cycle stats
-     * (cycles, occupancy integrals, the current stall counter, kDxWait
-     * waitCycles): no wheel completion, nothing issuable, nothing
-     * dispatchable, no store drain, no head retirement.
-     *
-     * Inline fast path: the scheduler probes every core every cycle,
-     * so the memo checks must cost a load or two at the call site.
+     * or an L1 departure can wake us — or now + 1 when the next tick
+     * must run. Quiet means tick() would change nothing but the
+     * closed-form per-cycle stats (cycles, occupancy integrals, the
+     * current stall counter, kDxWait waitCycles): no wheel completion,
+     * nothing issuable, nothing dispatchable, no store drain, no head
+     * retirement.
      */
-    Cycle
-    nextEventAt() const
-    {
-        if (sleepValid_ ||
-            (blockedWatch_ && *blockedWatch_ == blockedPops_)) {
-            return timedEventAt();
-        }
-        return nextEventAtSlow();
-    }
+    Cycle nextEventAt() const;
 
     /**
      * Closed-form advance over @p n cycles nextEventAt() proved quiet,
@@ -170,36 +159,6 @@ class Core final : public Component,
         kSq,
     };
     DispatchStall dispatchStall() const;
-
-    /**
-     * Cross-cycle memo that the core is quiet *and* the verdict is
-     * sleep-stable: it depends only on core-private state, not on L1
-     * input-queue space (which changes without this core seeing a
-     * call). Only the ready-queue-front and store-drain no-op cases
-     * consult the L1, so the memo is set only when both queues are
-     * empty. Cleared by tick(), complete() and setKernel() — the only
-     * entry points that mutate core state. While set, nextEventAt()
-     * skips straight to the timed events.
-     */
-    mutable bool sleepValid_ = false;
-
-    /**
-     * Companion memo for the quiet-but-L1-gated shapes (ready-queue
-     * front load, or store drain, blocked on a full L1 input queue):
-     * the verdict holds as long as the L1 reports no queue departures
-     * — arrivals never free space, and everything else the verdict
-     * reads is core-private. blockedWatch_ is the L1's departures()
-     * counter read when armed (null = not armed; never armed when the
-     * L1 does not track departures). Cleared with sleepValid_.
-     */
-    mutable const std::uint64_t *blockedWatch_ = nullptr;
-    mutable std::uint64_t blockedPops_ = 0;
-
-    /** Out-of-line half of nextEventAt(): re-derive the verdict. */
-    Cycle nextEventAtSlow() const;
-
-    /** The next MMIO delivery or kDxWait poll (kNeverCycle if none). */
-    Cycle timedEventAt() const;
 
     RobEntry &entry(SeqNum seq);
     const RobEntry &entry(SeqNum seq) const;

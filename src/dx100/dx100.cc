@@ -23,7 +23,9 @@ Dx100::Dx100(const Dx100Config &cfg, mem::DramSystem &dram,
                cfg.colsPerRow})
 {
     if (llcPort)
-        llcPort_.bind(*llcPort);
+        llcPort_.bind(*llcPort, *this);
+    // The indirect unit sends to the DRAM channels directly.
+    dram_.addClient(*this);
     retired_.push_back(true); // id 0 unused
     streamSink_.owner = this;
     llcSink_.owner = this;
@@ -55,12 +57,14 @@ Dx100::registerPayload(int coreId, ExecPayload payload)
 void
 Dx100::registerRegion(Addr base, Addr size)
 {
+    touch();
     tlb_.installRange(base, size);
 }
 
 void
 Dx100::mmioWrite(Addr addr, std::uint64_t data, int coreId)
 {
+    touch();
     if (addr >= cfg_.rfBase() &&
         addr < cfg_.rfBase() + cfg_.numRegs * 8) {
         regs_[(addr - cfg_.rfBase()) / 8] = data;
@@ -375,6 +379,7 @@ void
 Dx100::StreamSink::complete(const std::uint64_t &tag)
 {
     (void)tag;
+    owner->touch();
     StreamUnit &u = owner->stream_;
     dx_assert(u.outstanding > 0, "stray stream response");
     u.waitIdle = false;
@@ -401,7 +406,7 @@ Dx100::streamStart(StreamUnit &u)
     u.outstanding = 0;
     u.linesDone = 0;
     u.waitIdle = false;
-    u.portWait = {};
+    u.waitPort = false;
     u.waitGated = false;
     u.gatePrefix = 0;
 
@@ -480,11 +485,12 @@ Dx100::streamTick(StreamUnit &u)
         // All issued, or the request table is full: only a response
         // can make the next tick productive.
         u.waitIdle = true;
-        u.portWait = {};
+        u.waitPort = false;
     } else if (u.issuePos < allowedLines) {
         // A line was sendable but the LLC refused admission: sleep
         // until the port records a departure.
-        u.waitIdle = armPortWait(u.portWait);
+        u.waitIdle = true;
+        u.waitPort = true;
     } else {
         // Gated on a producer's finish bits. The producer may advance
         // in a later unit tick of this same cycle, so record the gate
@@ -502,6 +508,7 @@ Dx100::streamTick(StreamUnit &u)
 void
 Dx100::LlcSink::complete(const std::uint64_t &tag)
 {
+    owner->touch();
     owner->indirect_.responses.push_back(
         {static_cast<IndirectTables::ColHandle>(tag), true});
     owner->indirect_.waitIdle = false;
@@ -513,6 +520,7 @@ Dx100::LlcSink::complete(const std::uint64_t &tag)
 void
 Dx100::complete(const mem::MemRequest &req)
 {
+    touch();
     dx_assert(!req.write, "unexpected DRAM write response");
     indirect_.responses.push_back(
         {static_cast<IndirectTables::ColHandle>(req.tag), false});
@@ -537,7 +545,7 @@ Dx100::indirectStart(IndirectUnit &u)
     u.pendingWrites.clear();
     u.outstandingReads = 0;
     u.waitIdle = false;
-    u.portWait = {};
+    u.waitPort = false;
     u.waitFillStall = false;
     u.needsWriteback = p.instr.op != Opcode::kIld;
     tables_.reset(u.n);
@@ -788,9 +796,7 @@ Dx100::indirectTick(IndirectUnit &u)
         // admission, until the blocking ports record a departure.
         u.waitIdle = true;
         u.waitFillStall = fillStallOnly;
-        u.portWait = {};
-        if (wrBlocked || rqBlocked)
-            u.waitIdle = armPortWait(u.portWait);
+        u.waitPort = wrBlocked || rqBlocked;
     }
     if (indirectDone(u))
         retire(UnitKind::kIndirect);
@@ -814,19 +820,14 @@ Dx100::skipCycles(Cycle n)
     }
 }
 
-bool
-Dx100::armPortWait(PortWait &w) const
+void
+Dx100::departure()
 {
-    w.llc = llcPort_ ? llcPort_->departures() : nullptr;
-    if (w.llc)
-        w.pops = *w.llc + dram_.dequeueCount();
-    return w.llc != nullptr;
-}
-
-bool
-Dx100::portWaitHolds(const PortWait &w) const
-{
-    return !w.llc || *w.llc + dram_.dequeueCount() == w.pops;
+    touch();
+    if (stream_.waitPort)
+        stream_.waitIdle = false;
+    if (indirect_.waitPort)
+        indirect_.waitIdle = false;
 }
 
 void
@@ -862,6 +863,7 @@ Dx100::SpdPort::canAccept() const
 void
 Dx100::SpdPort::request(const cache::CacheReq &req)
 {
+    owner->touch(); // the entry's due cycle reads our clock
     queue.push_back({owner->now_ + owner->cfg_.spdReadLatency, req});
     if (!req.write)
         owner->markSpdCached(req.addr);
@@ -903,6 +905,7 @@ Dx100::spdTick()
         }
         const cache::CacheReq req = spdPort_.queue.front().second;
         spdPort_.queue.pop_front();
+        spdPort_.departed();
         ++stats_.spdLinesServed;
         if (req.sink)
             req.sink->complete(req.tag);
@@ -957,12 +960,9 @@ Dx100::nextEventAt() const
     // backlogged inputQueue_ is quiet only while the last dispatch
     // scan's verdict is frozen (dispatchWait_); each skipped cycle then
     // accounts one dispatch stall closed-form.
-    const bool indirectIdle =
-        !indirect_.busy ||
-        (indirect_.waitIdle && portWaitHolds(indirect_.portWait));
+    const bool indirectIdle = !indirect_.busy || indirect_.waitIdle;
     const bool streamIdle =
-        !stream_.busy ||
-        (stream_.waitIdle && portWaitHolds(stream_.portWait)) ||
+        !stream_.busy || stream_.waitIdle ||
         (stream_.waitGated &&
          gateLimit(stream_.active) == stream_.gatePrefix);
     if (!streamIdle || !indirectIdle || alu_.busy || range_.busy ||

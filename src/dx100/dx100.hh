@@ -157,17 +157,17 @@ class Dx100 final : public Component,
     /**
      * Tick contract (see DESIGN.md §4c): the scratchpad queue head
      * (SPD entries share one fixed latency, so it is the earliest),
-     * kNeverCycle when only a doorbell or a memory response can wake
-     * us, or now + 1 unless tick() would be a no-op — every unit idle,
-     * nothing queued for dispatch. One exception: a busy indirect unit
-     * in its wait-idle drain state (everything issued and in flight,
-     * nothing consumable, any admission-blocked send still blocked) is
-     * quiet, because its tick is then provably side-effect free until
-     * a memory response or port departure. All other busy-but-blocked
-     * unit states still tick (conservative: their retries and stall
-     * counters must match the naive loop).
+     * kNeverCycle when only a doorbell, a memory response or a port
+     * departure can wake us, or now + 1 unless tick() would be a
+     * no-op — every unit idle or in its wait-idle state, nothing
+     * queued for dispatch or the dispatch verdict frozen. All other
+     * busy-but-blocked unit states still tick (conservative: their
+     * retries and stall counters must match the naive loop).
      */
     Cycle nextEventAt() const;
+
+    /** A refused send may now be admitted: stop waiting on it. */
+    void departure() override;
 
     /**
      * Closed-form advance over @p n cycles nextEventAt() proved quiet.
@@ -246,24 +246,6 @@ class Dx100 final : public Component,
         void complete(const std::uint64_t &tag) override;
     };
 
-    /**
-     * A unit's admission-blocked wait: armed when a send was refused,
-     * it holds until the LLC port or the DRAM request buffers record a
-     * departure. llc is the LLC port's departures(), read when armed;
-     * null when the wait is not armed.
-     */
-    struct PortWait
-    {
-        const std::uint64_t *llc = nullptr;
-        std::uint64_t pops = 0; //!< LLC + DRAM departures when armed
-    };
-
-    /** Arm @p w; false when the LLC port does not track departures. */
-    bool armPortWait(PortWait &w) const;
-
-    /** @p w is not armed, or no departure was recorded since. */
-    bool portWaitHolds(const PortWait &w) const;
-
     struct StreamUnit
     {
         bool busy = false;
@@ -278,13 +260,13 @@ class Dx100 final : public Component,
          * Set by streamTick() after a cycle that issued nothing and
          * could not retire: the next tick is a provable no-op until a
          * response arrives (StreamSink::complete clears the
-         * flag) or, when the LLC refused admission, until a port
-         * departure (portWait). Never set while gated on a producer's
+         * flag) or, when the LLC refused admission (waitPort), until
+         * a port departure. Never set while gated on a producer's
          * finish bits — those advance in later unit ticks of the same
          * cycle.
          */
         bool waitIdle = false;
-        PortWait portWait;
+        bool waitPort = false; //!< waiting because a send was refused
 
         /**
          * The no-issue cycle was gated on a producer's finish bits at
@@ -334,11 +316,11 @@ class Dx100 final : public Component,
          * drain phase with every issued request in flight. The next
          * tick is provably a no-op until a response arrives (the
          * response entry points clear the flag) — or, when a sendable
-         * request/write was merely blocked on DRAM/LLC admission,
-         * until those ports record a departure (portWait).
+         * request/write was merely blocked on DRAM/LLC admission
+         * (waitPort), until those ports record a departure.
          */
         bool waitIdle = false;
-        PortWait portWait;
+        bool waitPort = false; //!< waiting because a send was refused
 
         /**
          * The wait-idle cycle was a slice-full fill retry: the only

@@ -13,6 +13,7 @@
 
 #include <unordered_set>
 
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -26,7 +27,10 @@ class Tlb
 
     explicit Tlb(unsigned entries, unsigned missPenalty)
         : entries_(entries), missPenalty_(missPenalty)
-    {}
+    {
+        // Eviction keeps the page just installed, so it needs a second.
+        dx_assert(entries > 0, "a TLB needs at least one entry");
+    }
 
     /** Pre-install PTEs covering [base, base + size). */
     void
@@ -65,7 +69,7 @@ class Tlb
     /**
      * Closed-form account of @p n repeated hit lookups of one already
      * installed page — what a skipped stall loop would have recorded
-     * (used by the quiescence fast-forward path).
+     * (used by the scheduler's closed-form catch-up).
      */
     void skipHits(std::uint64_t n) { hits_ += n; }
 

@@ -285,8 +285,6 @@ MemoryController::tryColumn(std::vector<Entry> &queue, bool writes)
         busyBanks_[writes] &= ~bankBit(e.bank);
     queue.erase(it);
     ++dequeues_; // a waiter upstream may be watching for space
-    if (dequeueMirror_)
-        ++*dequeueMirror_;
     return true;
 }
 

@@ -146,17 +146,9 @@ class MemoryController final : public Component
 
     /**
      * Monotonic count of entries that left the request buffers (column
-     * command issued). Lets waiters blocked on canAccept() cache the
-     * "full" verdict: arrivals never free space, so an unchanged count
-     * proves the buffers are still full.
+     * command issued): the DRAM system wakes its clients when it moves.
      */
     std::uint64_t dequeueCount() const { return dequeues_; }
-
-    /**
-     * Mirror every future dequeue into @p sum as well (the DRAM
-     * system's O(1) aggregate). Wire before the first request arrives.
-     */
-    void setDequeueMirror(std::uint64_t *sum) { dequeueMirror_ = sum; }
 
     const Stats &stats() const { return stats_; }
     const Config &config() const { return cfg_; }
@@ -236,8 +228,7 @@ class MemoryController final : public Component
     std::uint64_t busyBanks_[2] = {0, 0}; //!< per queue: queued > 0
     std::deque<PendingResp> pending_;
 
-    std::uint64_t dequeues_ = 0; //!< request-buffer departures
-    std::uint64_t *dequeueMirror_ = nullptr; //!< system-wide aggregate
+    std::uint64_t dequeues_ = 0; //!< entries that left the buffers
 
     bool writeMode_ = false;
     unsigned writeBurst_ = 0;

@@ -14,7 +14,6 @@ DramSystem::DramSystem(const Config &cfg)
     for (unsigned c = 0; c < cfg_.ctrl.geom.channels; ++c) {
         channels_.push_back(
             std::make_unique<MemoryController>(cfg_.ctrl, c));
-        channels_.back()->setDequeueMirror(&totalDequeues_);
         adopt(*channels_.back());
     }
 }
@@ -35,6 +34,7 @@ void
 DramSystem::access(Addr lineAddr, bool write, Origin origin,
                    std::uint64_t tag, MemRespSink *sink)
 {
+    touch(); // the enqueue stamps arrival with the channel's clock
     MemRequest req;
     req.lineAddr = lineAlign(lineAddr);
     req.write = write;
@@ -46,34 +46,26 @@ DramSystem::access(Addr lineAddr, bool write, Origin origin,
 }
 
 void
-DramSystem::tick()
+DramSystem::advance(bool skipQuiet)
 {
     ++now_;
-    if (++phase_ >= cfg_.clockRatio) {
-        phase_ = 0;
-        for (auto &ch : channels_)
-            ch->tick();
-    }
-}
-
-bool
-DramSystem::tickScheduled()
-{
-    ++now_;
-    if (++phase_ >= cfg_.clockRatio) {
-        phase_ = 0;
-        bool allSkipped = true;
-        for (auto &ch : channels_) {
-            if (ch->nextEventAt() > ch->now() + 1) {
-                ch->skipCycles(1);
-            } else {
-                ch->tick();
-                allSkipped = false;
-            }
+    if (++phase_ < cfg_.clockRatio)
+        return; // off-phase core cycle: the controllers do not run
+    phase_ = 0;
+    const std::uint64_t before = totalDequeues_;
+    for (auto &ch : channels_) {
+        if (skipQuiet && ch->nextEventAt() > ch->now() + 1) {
+            ch->skipCycles(1);
+            continue;
         }
-        return allSkipped;
+        const std::uint64_t d = ch->dequeueCount();
+        ch->tick();
+        totalDequeues_ += ch->dequeueCount() - d;
     }
-    return true; // off-phase core cycle: the controllers do not run
+    if (totalDequeues_ != before) {
+        for (Component *c : clients_)
+            c->departure();
+    }
 }
 
 Cycle

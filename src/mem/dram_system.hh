@@ -41,33 +41,25 @@ class DramSystem final : public Component
     /** True if the owning channel can buffer this request now. */
     bool canAccept(Addr lineAddr, bool write) const;
 
-    /** Sum of the channels' request-buffer departure counts. */
-    std::uint64_t dequeueCount() const { return totalDequeues_; }
-
     /**
-     * Live address of that sum, the DRAM port's departures() counter:
-     * the channels mirror every dequeue into it, so a probe is one
-     * load instead of a channel loop.
+     * Wake @p client (Component::departure) on every controller tick
+     * that moves an entry out of a channel's request buffers.
      */
-    const std::uint64_t *dequeueCountAddr() const
-    {
-        return &totalDequeues_;
-    }
+    void addClient(Component &client) { clients_.push_back(&client); }
 
     /** Enqueue a line request; canAccept must hold. */
     void access(Addr lineAddr, bool write, Origin origin,
                 std::uint64_t tag, MemRespSink *sink);
 
     /** Advance one core clock cycle. */
-    void tick();
+    void tick() { advance(false); }
 
     /**
      * Advance one core clock cycle, skipping quiet channels on a
      * controller-clock edge via their closed-form skipCycles instead of
-     * ticking them. Observable-state equivalent to tick(). Returns
-     * true when no channel had to run (off-phase cycle or all skipped).
+     * ticking them. Observable-state equivalent to tick().
      */
-    bool tickScheduled();
+    void tickScheduled() { advance(true); }
 
     /**
      * Earliest *core* cycle any channel could act, translated from the
@@ -112,10 +104,14 @@ class DramSystem final : public Component
     double peakBytesPerCoreCycle() const;
 
   private:
+    /** One core cycle; @p skipQuiet skips channels with no event due. */
+    void advance(bool skipQuiet);
+
     const Config cfg_;
     AddressMap map_;
     std::vector<std::unique_ptr<MemoryController>> channels_;
-    std::uint64_t totalDequeues_ = 0; //!< mirror of the channels' sum
+    std::vector<Component *> clients_;
+    std::uint64_t totalDequeues_ = 0; //!< sum over the channels
     unsigned phase_ = 0; //!< core cycles since last controller tick
     Cycle now_ = 0;      //!< core-domain clock
 };

@@ -3,8 +3,8 @@
  * The unified port layer: every request/response link between
  * components is an instantiation of the two templates below.
  *
- *  - RequestPort<Req> is the admission-gated request side, with one
- *    departures() counter for waiters that found it full. The cache
+ *  - RequestPort<Req> is the admission-gated request side; every
+ *    client bound to it is woken when an entry leaves. The cache
  *    hierarchy's CachePort, the DRAM adapter, the range router and
  *    DX100's scratchpad port are all RequestPort<cache::CacheReq>.
  *  - Completion<Payload> is the response side. Cache fill callbacks
@@ -24,10 +24,11 @@
 #ifndef DX_SIM_PORT_HH
 #define DX_SIM_PORT_HH
 
-#include <cstdint>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/types.hh"
+#include "sim/component.hh"
 
 namespace dx
 {
@@ -50,15 +51,16 @@ class RequestPort
     virtual bool canAccept() const = 0;
 
     /**
-     * Live address of a monotonic count of departures from whatever
-     * gates admission here (queue pops, command issues); null when the
-     * port does not track them. Arrivals never free space, so a waiter
-     * that found the port full may arm a memo with this pointer and the
-     * count it read, and re-probe only once the count moves. Read it
-     * when arming, not at wiring: a port may stop tracking as it is
-     * wired further (RangeRouter::addRange).
+     * Wake @p client (Component::departure) whenever an entry leaves
+     * whatever gates admission here (queue pops, command issues).
+     * Arrivals never free space, so a client that found the port full
+     * may sleep until then. PortSlot::bind registers its owner.
      */
-    virtual const std::uint64_t *departures() const { return nullptr; }
+    virtual void
+    addClient(Component &client)
+    {
+        clients_.push_back(&client);
+    }
 
     /**
      * Request-specific admission: ports that multiplex resources by
@@ -73,6 +75,17 @@ class RequestPort
     }
 
     virtual void request(const Req &req) = 0;
+
+    /** An entry left: wake every client. */
+    void
+    departed() const
+    {
+        for (Component *c : clients_)
+            c->departure();
+    }
+
+  protected:
+    std::vector<Component *> clients_;
 };
 
 /**
@@ -104,12 +117,14 @@ class PortSlot
   public:
     explicit PortSlot(const char *name) : name_(name) {}
 
+    /** Bind to @p port; @p owner is woken when an entry leaves it. */
     void
-    bind(RequestPort<Req> &port)
+    bind(RequestPort<Req> &port, Component &owner)
     {
         dx_assert(port_ == nullptr,
                   "port slot ", name_, " already bound");
         port_ = &port;
+        port.addClient(owner);
     }
 
     bool bound() const { return port_ != nullptr; }

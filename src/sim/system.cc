@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <sstream>
+#include <utility>
 
 #include "common/logging.hh"
 #include "sim/topology.hh"
@@ -55,11 +56,13 @@ SystemConfig::validate() const
         dx_fatal("SystemConfig: cores must be at least 1 — a system "
                  "with no cores has nothing to run");
     if (core.width == 0 || core.robSize == 0 || core.lqSize == 0 ||
-        core.sqSize == 0)
+        core.sqSize == 0 || core.loadPorts == 0 || core.storeDrain == 0)
         dx_fatal("SystemConfig: core structures must be non-zero "
                  "(width=", core.width, ", robSize=", core.robSize,
                  ", lqSize=", core.lqSize, ", sqSize=", core.sqSize,
-                 ")");
+                 ", loadPorts=", core.loadPorts, ", storeDrain=",
+                 core.storeDrain, "); with a zero the core never "
+                 "dispatches, issues a load or drains a store");
     validateCacheGeometry("l1", l1);
     validateCacheGeometry("l2", l2);
     validateCacheGeometry("llc", llc);
@@ -73,15 +76,24 @@ SystemConfig::validate() const
         dx_fatal("SystemConfig: dx100Instances=", dx100Instances,
                  " exceeds cores=", cores, " — each instance must "
                  "serve at least one core");
-    if (!isPowerOfTwo(dram.ctrl.geom.channels))
-        dx_fatal("SystemConfig: dram channels=",
-                 dram.ctrl.geom.channels,
-                 " must be a non-zero power of two (the address map "
-                 "selects the channel with low line-address bits)");
+    const mem::DramGeometry &g = dram.ctrl.geom;
+    for (const auto &[name, v] : {std::pair{"channels", g.channels},
+                                  {"ranks", g.ranks},
+                                  {"bankGroups", g.bankGroups},
+                                  {"banksPerGroup", g.banksPerGroup},
+                                  {"rowBytes", g.rowBytes}}) {
+        if (!isPowerOfTwo(v))
+            dx_fatal("SystemConfig: dram ", name, "=", v, " must be a "
+                     "non-zero power of two (the address map selects "
+                     "each DRAM coordinate with line-address bits)");
+    }
+    if (g.rowBytes < kLineBytes || g.rows == 0)
+        dx_fatal("SystemConfig: dram rowBytes=", g.rowBytes, " and rows=",
+                 g.rows, " must hold at least one ", kLineBytes,
+                 "-byte line and one row");
     if (dram.clockRatio == 0)
         dx_fatal("SystemConfig: dram.clockRatio must be at least 1 "
                  "(core cycles per controller cycle)");
-    const mem::DramGeometry &g = dram.ctrl.geom;
     if (g.banksPerChannel() == 0 || g.banksPerChannel() > 64)
         dx_fatal("SystemConfig: dram ranks x bankGroups x banksPerGroup "
                  "= ", g.ranks, " x ", g.bankGroups, " x ",
@@ -89,6 +101,12 @@ SystemConfig::validate() const
                  " banks per channel; it must be 1..64 (the memory "
                  "controller tracks a channel's banks in one 64-bit "
                  "mask) — use fewer ranks or more channels");
+    const mem::DramTimings &tm = dram.ctrl.timings;
+    if (tm.refreshEnabled && tm.tREFI <= tm.tRFC + tm.tRC())
+        dx_fatal("SystemConfig: dram tREFI=", tm.tREFI, " must exceed "
+                 "tRFC + tRAS + tRP = ", tm.tRFC + tm.tRC(), " — "
+                 "otherwise no row can open and close between two "
+                 "refreshes and the channel never serves a request");
     const mem::MemoryController::Config &ctrl = dram.ctrl;
     if (ctrl.readQueueSize == 0 || ctrl.writeQueueSize == 0)
         dx_fatal("SystemConfig: dram readQueueSize=", ctrl.readQueueSize,
@@ -104,10 +122,22 @@ SystemConfig::validate() const
                  ctrl.writeQueueSize, "); a high watermark above the "
                  "queue never starts a write drain — try 3/4 and 1/4 of "
                  "the queue");
-    if (dx100Instances > 0 && dx.spdPortQueue == 0)
-        dx_fatal("SystemConfig: dx.spdPortQueue must be at least 1 — a "
-                 "zero scratchpad port queue never admits the cores' "
-                 "loads of gathered data, so the run can never finish");
+    using Dx = dx100::Dx100Config;
+    for (const auto &[name, field] : {
+             std::pair{"tileElems", &Dx::tileElems},
+             {"fillRate", &Dx::fillRate},
+             {"requestTableSize", &Dx::requestTableSize},
+             {"rowsPerSlice", &Dx::rowsPerSlice},
+             {"respPerCycle", &Dx::respPerCycle},
+             {"dispatchWindow", &Dx::dispatchWindow},
+             {"spdPortQueue", &Dx::spdPortQueue},
+             {"tlbEntries", &Dx::tlbEntries}}) {
+        if (dx100Instances > 0 && dx.*field == 0)
+            dx_fatal("SystemConfig: dx.", name, " must be at least 1 "
+                     "(Table 3 default: ", Dx{}.*field, ") — at zero the "
+                     "unit it sizes never makes progress, so the run can "
+                     "never finish");
+    }
 }
 
 unsigned
@@ -231,35 +261,6 @@ resolveNaiveTick(TickPolicy policy)
     return env && env[0] == '1' && env[1] == '\0';
 }
 
-/**
- * Skip @p c one cycle when its next event lies beyond @p now, the
- * cycle being decided. Returns that event when it skipped, 0 when it
- * had to tick (a skipped event exceeds now, so it is never 0).
- */
-template <typename C>
-Cycle
-tickOrSkip(C &c, Cycle now)
-{
-    const Cycle ev = c.nextEventAt();
-    if (ev > now) {
-        c.skipCycles(1);
-        return ev;
-    }
-    c.tick();
-    return 0;
-}
-
-/**
- * The DRAM system decides tick-or-skip per channel itself. When every
- * channel skipped, its hint is left to the caller (kNeverCycle here):
- * it is only worth computing when every other component skipped too.
- */
-Cycle
-tickOrSkip(mem::DramSystem &d, Cycle)
-{
-    return d.tickScheduled() ? kNeverCycle : 0;
-}
-
 } // namespace
 
 unsigned
@@ -357,40 +358,19 @@ System::warmLlc(Addr base, Addr size)
 void
 System::tick()
 {
+    dx_assert(wake_.empty(), "naive tick() after step()");
     ++now_;
     forEachInTickOrder([](auto &c) { c.tick(); });
 }
 
-Cycle
-System::tickScheduled()
-{
-    // Skip decisions are made at each component's slot in tick order,
-    // so anything an earlier component injected this cycle (e.g. a
-    // core's doorbell into a DX100 input queue) is seen.
-    ++now_;
-    Cycle ev = kNeverCycle;
-    bool allSkipped = true;
-    forEachInTickOrder([&](auto &c) {
-        const Cycle r = tickOrSkip(c, now_);
-        if (r == 0)
-            allSkipped = false;
-        else
-            ev = std::min(ev, r);
-    });
-    // Every skip above was side-effect-free, so the hints gathered at
-    // each slot still hold now; the DRAM hint is queried lazily.
-    return allSkipped ? std::min(ev, dram_->nextEventAt()) : 0;
-}
-
 void
-System::skipTo(Cycle target)
+System::step(Cycle limit)
 {
-    dx_assert(target >= now_, "skipTo into the past");
-    const Cycle n = target - now_;
-    if (n == 0)
-        return;
-    forEachInTickOrder([n](auto &c) { c.skipCycles(n); });
-    now_ = target;
+    if (wake_.empty())
+        forEachInTickOrder([this](auto &c) { wake_.add(c); });
+    now_ = std::min(wake_.next(), limit);
+    wake_.begin();
+    forEachInTickOrder([this](auto &c) { wake_.visit(c); });
 }
 
 bool
@@ -407,21 +387,17 @@ System::run(Cycle maxCycles)
     const Cycle start = now_;
     const Cycle limit = start + maxCycles;
     while (!drained()) {
-        if (naiveTick_) {
+        // The cap keeps the cycle-limit fatal below reachable when
+        // nothing is due again.
+        if (naiveTick_)
             tick();
-        } else {
-            // When every component skipped, the per-slot hints prove a
-            // horizon: jump to the cycle before it in one closed-form
-            // step (the cap keeps the cycle-limit fatal below
-            // reachable).
-            const Cycle horizon = tickScheduled();
-            if (horizon > now_ + 1)
-                skipTo(std::min(horizon - 1, limit));
-        }
+        else
+            step(limit);
         if (now_ - start >= maxCycles)
             dx_fatal("simulation exceeded cycle limit");
     }
 
+    sync();
     RunStats s = collectStats();
     s.cycles = now_ - start;
     s.ipc = s.cycles ? static_cast<double>(s.instructions) / s.cycles

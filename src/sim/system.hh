@@ -34,9 +34,9 @@ namespace dx::sim
 /**
  * How System::run advances simulated time (see DESIGN.md):
  *  - kNaive ticks every component every cycle (the reference loop);
- *  - kQuiescent skips components whose nextEventAt() lies beyond the
- *    cycle being decided, and fast-forwards stretches where every
- *    component is quiet in one closed-form step. Bit-identical stats.
+ *  - kQuiescent visits a component only when it is due or touched
+ *    (the wake list) and catches its clock up in closed form.
+ *    Bit-identical stats.
  *  - kAuto resolves to kNaive when the DX_NAIVE_TICK=1 environment
  *    escape hatch is set, else kQuiescent.
  */
@@ -203,30 +203,25 @@ class System final : public Component
      */
     void warmLlc(Addr base, Addr size);
 
-    /** Tick every component once (the naive reference scheduler). */
+    /**
+     * Tick every component once (the naive reference scheduler). Not
+     * for a System that has already step()ped.
+     */
     void tick();
 
     /**
-     * Advance one cycle, replacing each provably no-op component tick
-     * with its closed-form skipCycles(1). Identical observable state
-     * and stats to tick() — the test_tick_equivalence /
-     * test_quiescence_property harnesses enforce this bit-for-bit.
-     *
-     * Returns 0 when some component had to run, else the earliest
-     * nextEventAt() across all components. In the latter case every
-     * skip this cycle was side-effect-free: while all components are
-     * quiet no cross-component callbacks occur, so no event can
-     * move earlier and the per-slot hints are a proven fast-forward
-     * horizon. run() may skipTo(min(returned - 1, limit)) immediately.
+     * Advance to the next cycle some component is due, at most to
+     * @p limit (> now()), and visit the due components in tick order
+     * (the wake list, DESIGN.md §4c). Components that are not due
+     * keep their clocks behind; sync() catches them up. Identical
+     * observable state and stats to tick() once synced — the
+     * test_tick_equivalence / test_quiescence_property harnesses
+     * enforce this bit-for-bit.
      */
-    Cycle tickScheduled();
+    void step(Cycle limit);
 
-    /**
-     * Closed-form advance of every component (and the global clock)
-     * to cycle @p target. Caller must have proven quiescence through
-     * @p target via the horizon tickScheduled() returned.
-     */
-    void skipTo(Cycle target);
+    /** Catch every component's clock up to now(); none becomes due. */
+    void sync() { wake_.sync(); }
 
     /**
      * All cores done and the whole memory system drained — including
@@ -334,6 +329,8 @@ class System final : public Component
 
     StatRegistry statReg_;
     Cycle now_ = 0;
+    //! Tick-order slots; filled by the first step(), empty when naive.
+    WakeList wake_{now_};
 };
 
 } // namespace dx::sim

@@ -18,6 +18,7 @@
 #include "cache/cache.hh"
 #include "cache/mem_port.hh"
 #include "common/rng.hh"
+#include "dx100/dx100.hh"
 #include "mem/dram_system.hh"
 
 using namespace dx;
@@ -224,6 +225,14 @@ struct CountingSink : public CacheRespSink
     void complete(const std::uint64_t &) override { ++done; }
 };
 
+/** A port client that counts the departures it is woken for. */
+struct DepartureCounter : public Component
+{
+    DepartureCounter() : Component("client") {}
+    unsigned woken = 0;
+    void departure() override { ++woken; }
+};
+
 class MshrIndex : public ::testing::TestWithParam<unsigned>
 {
 };
@@ -244,6 +253,8 @@ TEST_P(MshrIndex, OutOfOrderFillsMatchModel)
     cfg.targetsPerMshr = targetsPerMshr;
     Cache cache(cfg, &down);
     CountingSink sink;
+    DepartureCounter upstream;
+    cache.addClient(upstream);
 
     // Lines 1 MiB apart share one cache set. With 16 or 256 MSHRs the
     // index is up to half full, so probe-run collisions are likely and
@@ -324,7 +335,7 @@ TEST_P(MshrIndex, OutOfOrderFillsMatchModel)
                                       : Outcome::kAlloc;
         }
         const std::size_t fetches = down.fetches.size();
-        const std::uint64_t pops = *cache.departures();
+        const unsigned pops = upstream.woken;
         const std::uint64_t coalesced =
             cache.stats().mshrCoalesced.value();
         const std::uint64_t stalls = cache.stats().stallMshrFull.value();
@@ -352,10 +363,10 @@ TEST_P(MshrIndex, OutOfOrderFillsMatchModel)
           case Outcome::kFullStall:
             EXPECT_EQ(down.fetches.size(), fetches);
             EXPECT_EQ(cache.stats().stallMshrFull.value(), stalls + 1);
-            EXPECT_EQ(*cache.departures(), pops);
+            EXPECT_EQ(upstream.woken, pops);
             continue; // the head stays put and retries
         }
-        EXPECT_EQ(*cache.departures(), pops + 1);
+        EXPECT_EQ(upstream.woken, pops + 1);
         head.reset();
     }
 
@@ -383,37 +394,59 @@ TEST_P(MshrIndex, OutOfOrderFillsMatchModel)
 INSTANTIATE_TEST_SUITE_P(Sizes, MshrIndex,
                          ::testing::Values(1u, 3u, 16u, 256u));
 
-// The departure counters waiters arm their memos on: the cache's and
-// the DRAM port's move when an entry leaves, and the range router
-// forwards its fallback's only while no range is routed.
-TEST(CacheProperties, DepartureCountersTrackPorts)
+// Departure wakes: an entry leaving a cache input queue, a DRAM
+// channel buffer or the scratchpad port wakes every client bound to
+// that port. A client of the range router waits on its fallback and
+// on every routed port, including ranges added after it was bound.
+TEST(CacheProperties, DeparturesWakeBoundClients)
 {
     mem::DramSystem::Config dc;
     dc.ctrl.timings.refreshEnabled = false;
     mem::DramSystem dram(dc);
     DramPort port(dram);
-    ASSERT_NE(port.departures(), nullptr);
     RangeRouter router(port);
-    EXPECT_EQ(router.departures(), port.departures());
+    DepartureCounter early;
+    PortSlot<CacheReq> earlySlot("early");
+    earlySlot.bind(router, early);
 
     Cache cache(Cache::Config{}, &router);
-    ASSERT_NE(cache.departures(), nullptr);
+    DepartureCounter upstreamA;
+    DepartureCounter upstreamB;
+    cache.addClient(upstreamA);
+    cache.addClient(upstreamB);
+
+    // Cache queue pop, then the DRAM read that fills the miss.
     CountingSink sink;
     CacheReq req;
     req.addr = 0x1000;
     req.sink = &sink;
     cache.request(req);
-    const std::uint64_t cachePops = *cache.departures();
-    const std::uint64_t dramPops = *port.departures();
     for (int t = 0; t < 10000 && sink.done == 0; ++t) {
         cache.tick();
         dram.tick();
     }
     ASSERT_EQ(sink.done, 1u);
-    EXPECT_EQ(*cache.departures(), cachePops + 1);
-    EXPECT_EQ(*port.departures(), dramPops + 1);
+    EXPECT_EQ(upstreamA.woken, 1u);
+    EXPECT_EQ(upstreamB.woken, 1u);
+    EXPECT_EQ(early.woken, 1u); // one DRAM dequeue
 
-    FetchRecorder special;
-    router.addRange(Addr{1} << 32, 4096, &special);
-    EXPECT_EQ(router.departures(), nullptr);
+    // The scratchpad port, routed after `early` was bound.
+    dx100::Dx100Config xc;
+    dx100::Dx100 dx(xc, dram, nullptr, dx100::CoherencyAgent{}, 1);
+    router.addRange(xc.spdBase, xc.spdSize(), &dx.spdPort());
+    DepartureCounter late;
+    PortSlot<CacheReq> lateSlot("late");
+    lateSlot.bind(router, late);
+
+    CacheReq spd;
+    spd.addr = xc.spdBase;
+    spd.sink = &sink;
+    ASSERT_TRUE(router.canAcceptReq(spd));
+    router.request(spd);
+    for (int t = 0; t < 10000 && sink.done == 1; ++t)
+        dx.tick();
+    ASSERT_EQ(sink.done, 2u);
+    EXPECT_EQ(early.woken, 2u);
+    EXPECT_EQ(late.woken, 1u);
+    EXPECT_EQ(upstreamA.woken, 1u); // not bound to the router
 }

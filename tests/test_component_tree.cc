@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "sim/component.hh"
 #include "sim/stat_registry.hh"
 #include "sim/system.hh"
@@ -375,6 +376,27 @@ TEST(ComponentTree, ValidateRejectsBadConfigs)
     noSpdQueue.dx.spdPortQueue = 0;
     EXPECT_THROW(noSpdQueue.validate(), FatalError);
 
+    // A zero-width core port or accelerator unit wedges the run, and a
+    // zero-entry TLB has no room for the page it just installed.
+    for (unsigned cpu::Core::Config::*field :
+         {&cpu::Core::Config::loadPorts, &cpu::Core::Config::storeDrain}) {
+        SystemConfig zero;
+        zero.core.*field = 0;
+        EXPECT_THROW(zero.validate(), FatalError);
+    }
+    for (unsigned dx100::Dx100Config::*field :
+         {&dx100::Dx100Config::fillRate,
+          &dx100::Dx100Config::requestTableSize,
+          &dx100::Dx100Config::respPerCycle,
+          &dx100::Dx100Config::rowsPerSlice,
+          &dx100::Dx100Config::dispatchWindow,
+          &dx100::Dx100Config::tileElems,
+          &dx100::Dx100Config::tlbEntries}) {
+        SystemConfig zero = SystemConfig::withDx100();
+        zero.dx.*field = 0;
+        EXPECT_THROW(zero.validate(), FatalError);
+    }
+
     // Write watermarks must satisfy lo < hi <= writeQueueSize.
     SystemConfig hiAboveQueue;
     hiAboveQueue.dram.ctrl.writeHiWatermark =
@@ -400,6 +422,101 @@ TEST(ComponentTree, ValidateRejectsBadConfigs)
     SystemConfig::baseline(8).validate();
     SystemConfig::withDx100(4, 2).validate();
     SystemConfig::withDmp(4).validate();
+}
+
+// validate() fuzz: seeded random values, zeros included, in the core,
+// cache, DRAM and DX100 fields. A config is either refused by
+// validate() (a dx_fatal) or it runs a small gather to completion under
+// a fixed cycle bound and verifies. A crash, an assert, a later
+// dx_fatal or the cycle limit is a model or validate() bug.
+TEST(ComponentTree, ValidateFuzz)
+{
+    ScopedFatalThrow guard;
+    unsigned accepted = 0;
+    unsigned tileRefusals = 0;
+    for (unsigned seed = 0; seed < 300; ++seed) {
+        Rng rng(seed);
+        const unsigned cores = 1 + static_cast<unsigned>(rng.below(4));
+        const bool dx = rng.below(2) != 0;
+        SystemConfig cfg = dx ? SystemConfig::withDx100(cores)
+                              : SystemConfig::baseline(cores);
+        cpu::Core::Config &c = cfg.core;
+        mem::MemoryController::Config &d = cfg.dram.ctrl;
+        mem::DramTimings &t = d.timings;
+        dx100::Dx100Config &x = cfg.dx;
+        std::vector<unsigned *> fields = {
+            &c.width, &c.robSize, &c.lqSize, &c.sqSize, &c.loadPorts,
+            &c.storeDrain, &c.mmioLatency, &c.pollInterval,
+            &c.pollInstrCost, &d.readQueueSize, &d.writeQueueSize,
+            &d.writeHiWatermark, &d.writeLoWatermark, &d.writeBurstMax,
+            &d.geom.channels, &d.geom.ranks, &d.geom.bankGroups,
+            &d.geom.banksPerGroup, &d.geom.rowBytes, &d.geom.rows,
+            &cfg.dram.clockRatio, &t.tRCD, &t.tRP, &t.tRAS, &t.tRTP,
+            &t.tWR, &t.tCL, &t.tCWL, &t.tBL, &t.tCCD_S, &t.tCCD_L,
+            &t.tRRD_S, &t.tRRD_L, &t.tFAW, &t.tWTR_S, &t.tWTR_L, &t.tRTW,
+            &t.tREFI, &t.tRFC, &x.numTiles, &x.tileElems, &x.numRegs,
+            &x.fillRate, &x.aluLanes, &x.requestTableSize,
+            &x.rowsPerSlice, &x.colsPerRow, &x.respPerCycle,
+            &x.rangeRate, &x.dispatchWindow, &x.spdReadLatency,
+            &x.spdPortQueue, &x.tlbEntries, &x.tlbMissPenalty};
+        for (cache::Cache::Config *cc : {&cfg.l1, &cfg.l2, &cfg.llc}) {
+            for (unsigned *f : {&cc->assoc, &cc->latency, &cc->mshrs,
+                                &cc->targetsPerMshr, &cc->queueSize,
+                                &cc->width})
+                fields.push_back(f);
+        }
+        // One to three fields each take zero, a tiny value, or up to
+        // twice their default.
+        for (std::uint64_t k = 1 + rng.below(3); k > 0; --k) {
+            unsigned &v = *fields[rng.below(fields.size())];
+            switch (rng.below(3)) {
+              case 0:
+                v = 0;
+                break;
+              case 1:
+                v = 1 + static_cast<unsigned>(rng.below(4));
+                break;
+              default:
+                v = 1 + static_cast<unsigned>(rng.below(2 * v + 1));
+                break;
+            }
+        }
+        if (rng.below(8) == 0)
+            cfg.llc.sizeBytes /= 1 + rng.below(4);
+
+        try {
+            cfg.validate();
+        } catch (const FatalError &) {
+            continue; // refused up front, with a message
+        }
+        // Past validate(), building, loading and running must all
+        // succeed: any dx_fatal from here on is a validate() gap, except
+        // the runtime refusing a kernel that needs more scratchpad tiles
+        // than the config has, which is the workload's demand, not the
+        // config's. Those are counted and bounded below.
+        ++accepted;
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        wl::GatherMicro w(wl::GatherMicro::Mode::kSpd, 512);
+        std::vector<std::unique_ptr<cpu::Kernel>> kernels;
+        System sys(cfg);
+        try {
+            w.init(sys);
+            for (unsigned i = 0; i < cores; ++i) {
+                kernels.push_back(w.makeKernel(sys, i, dx));
+                sys.setKernel(i, kernels.back().get());
+            }
+        } catch (const FatalError &e) {
+            EXPECT_STREQ(e.what(), "out of scratchpad tiles");
+            ++tileRefusals;
+            continue;
+        }
+        EXPECT_NO_THROW(sys.run(Cycle{4} << 20));
+        EXPECT_TRUE(w.verify(sys));
+    }
+    EXPECT_GT(accepted, 100u);
+    EXPECT_LE(tileRefusals, 10u);
+    RecordProperty("accepted", static_cast<int>(accepted));
+    RecordProperty("tile_refusals", static_cast<int>(tileRefusals));
 }
 
 TEST(ComponentTree, StatsJsonRoundTrip)

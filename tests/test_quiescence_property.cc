@@ -10,8 +10,8 @@
  * phrased as tick-vs-skip *equivalence*, not "tick is a pure no-op".
  *
  * The harness drives two identical Systems in lockstep — one with the
- * naive tick() loop, one with tickScheduled()/skipTo() exactly as
- * System::run uses them — and compares full RunStats at every point
+ * naive tick() loop, one with step() exactly as System::run uses it,
+ * synced before each look — and compares full RunStats at every point
  * where the clocks align, so a violation is pinpointed to the first
  * divergent cycle and field rather than surfacing as a mismatched
  * total at the end of a run.
@@ -195,9 +195,9 @@ diffStats(const RunStats &naive, const RunStats &sched)
 }
 
 /**
- * Advance the scheduled rig exactly as System::run does (one
- * tickScheduled, then a fused fast-forward when every component
- * skipped), then march the naive rig to the same cycle and compare.
+ * Advance the scheduled rig exactly as System::run does (one step to
+ * the next cycle something is due), sync its clocks, then march the
+ * naive rig to the same cycle and compare.
  */
 void
 runLockstep(unsigned seed, bool randomized)
@@ -209,9 +209,8 @@ runLockstep(unsigned seed, bool randomized)
                  configString(naive.sys->config()));
 
     while (!sched.sys->drained() && sched.sys->now() < kCycleCap) {
-        const Cycle horizon = sched.sys->tickScheduled();
-        if (horizon > sched.sys->now() + 1)
-            sched.sys->skipTo(horizon - 1);
+        sched.sys->step(kCycleCap);
+        sched.sys->sync();
         while (naive.sys->now() < sched.sys->now())
             naive.sys->tick();
         const RunStats a = naive.sys->collectStats();

@@ -23,7 +23,7 @@ SCALE=${DX_PERF_SCALE:-0.05}
 REPS=${DX_PERF_REPS:-3}
 MIN_SPEEDUP=${DX_PERF_MIN_SPEEDUP:-1.0}
 # target:jsonName pairs (jsonName is what --json writes as BENCH_<x>.json)
-BENCHES=${DX_PERF_BENCHES:-"fig08bc_microbench_allmiss:fig08bc fig09_speedup:fig09"}
+BENCHES=${DX_PERF_BENCHES:-"fig08bc_microbench_allmiss:fig08bc fig09_speedup:fig09 fig14_scalability:fig14"}
 
 targets=""
 for b in $BENCHES; do targets="$targets ${b%%:*}"; done
