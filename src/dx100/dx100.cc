@@ -24,8 +24,6 @@ Dx100::Dx100(const Dx100Config &cfg, mem::DramSystem &dram,
 {
     if (llcPort)
         llcPort_.bind(*llcPort, *this);
-    // The indirect unit sends to the DRAM channels directly.
-    dram_.addClient(*this);
     retired_.push_back(true); // id 0 unused
     streamSink_.owner = this;
     llcSink_.owner = this;
@@ -99,7 +97,6 @@ Dx100::mmioWrite(Addr addr, std::uint64_t data, int coreId)
               "doorbell encoding does not match registered payload");
 
     inputQueue_.push_back(std::move(payload));
-    dispatchWait_ = false;
 }
 
 bool
@@ -179,10 +176,8 @@ Dx100::gateLimit(const Active &a)
 void
 Dx100::tryDispatch()
 {
-    dispatchWait_ = false;
     if (inputQueue_.empty())
         return;
-    bool regionRetry = false;
 
     // Collect hazard masks of everything already executing.
     std::uint64_t activeDest = 0;
@@ -232,7 +227,6 @@ Dx100::tryDispatch()
         if (unitFree && !hazard && needsRegion &&
             !regionDir_->tryAcquireWrite(instanceId_, p.instr.base,
                                          now_)) {
-            regionRetry = true;
             olderDest |= dest;
             olderAny |= dest | src;
             continue;
@@ -248,7 +242,6 @@ Dx100::tryDispatch()
         olderDest |= dest;
         olderAny |= dest | src;
     }
-    dispatchWait_ = !regionRetry;
     ++stats_.dispatchStalls;
 }
 
@@ -350,7 +343,6 @@ Dx100::retire(UnitKind unit)
         regionDir_->releaseWrite(instanceId_, a->payload.instr.base);
     }
     retired_[a->payload.id] = true;
-    dispatchWait_ = false;
     ++stats_.instructionsRetired;
     ++stats_.byOpcode[static_cast<unsigned>(a->payload.instr.op)];
     a->valid = false;
@@ -382,8 +374,6 @@ Dx100::StreamSink::complete(const std::uint64_t &tag)
     owner->touch();
     StreamUnit &u = owner->stream_;
     dx_assert(u.outstanding > 0, "stray stream response");
-    u.waitIdle = false;
-    u.waitGated = false;
     --u.outstanding;
     ++u.linesDone;
     if (u.active.progress && !u.lines.empty()) {
@@ -405,10 +395,6 @@ Dx100::streamStart(StreamUnit &u)
     u.issuePos = 0;
     u.outstanding = 0;
     u.linesDone = 0;
-    u.waitIdle = false;
-    u.waitPort = false;
-    u.waitGated = false;
-    u.gatePrefix = 0;
 
     Addr prevLine = ~Addr{0};
     for (std::uint32_t i = 0; i < s.count; ++i) {
@@ -430,8 +416,6 @@ Dx100::streamTick(StreamUnit &u)
 {
     if (!u.busy)
         return;
-    u.waitIdle = false;
-    u.waitGated = false;
 
     // Gate on still-executing producers of the data/condition tiles
     // (finish bits): a store may only stream out elements that exist.
@@ -446,7 +430,6 @@ Dx100::streamTick(StreamUnit &u)
     }
 
     // Issue up to two line requests per cycle through the LLC.
-    bool issued = false;
     for (unsigned n = 0; n < 2; ++n) {
         if (u.issuePos >= allowedLines)
             break;
@@ -468,37 +451,10 @@ Dx100::streamTick(StreamUnit &u)
             ++stats_.llcReads;
         ++u.outstanding;
         ++u.issuePos;
-        issued = true;
     }
 
-    if (u.issuePos >= u.lines.size() && u.outstanding == 0) {
+    if (u.issuePos >= u.lines.size() && u.outstanding == 0)
         retire(UnitKind::kStream);
-        return;
-    }
-    if (issued)
-        return;
-
-    // Nothing issued and not retired: classify whether the next tick
-    // is a provable no-op (see StreamUnit::waitIdle).
-    if (u.issuePos >= u.lines.size() ||
-        u.outstanding >= cfg_.requestTableSize) {
-        // All issued, or the request table is full: only a response
-        // can make the next tick productive.
-        u.waitIdle = true;
-        u.waitPort = false;
-    } else if (u.issuePos < allowedLines) {
-        // A line was sendable but the LLC refused admission: sleep
-        // until the port records a departure.
-        u.waitIdle = true;
-        u.waitPort = true;
-    } else {
-        // Gated on a producer's finish bits. The producer may advance
-        // in a later unit tick of this same cycle, so record the gate
-        // value for nextEventAt() to revalidate rather than trusting
-        // it.
-        u.waitGated = true;
-        u.gatePrefix = limit;
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -511,7 +467,6 @@ Dx100::LlcSink::complete(const std::uint64_t &tag)
     owner->touch();
     owner->indirect_.responses.push_back(
         {static_cast<IndirectTables::ColHandle>(tag), true});
-    owner->indirect_.waitIdle = false;
     dx_assert(owner->indirect_.outstandingReads > 0,
               "stray LLC indirect response");
     --owner->indirect_.outstandingReads;
@@ -524,7 +479,6 @@ Dx100::complete(const mem::MemRequest &req)
     dx_assert(!req.write, "unexpected DRAM write response");
     indirect_.responses.push_back(
         {static_cast<IndirectTables::ColHandle>(req.tag), false});
-    indirect_.waitIdle = false;
     dx_assert(indirect_.outstandingReads > 0,
               "stray DRAM indirect response");
     --indirect_.outstandingReads;
@@ -544,9 +498,6 @@ Dx100::indirectStart(IndirectUnit &u)
     u.responses.clear();
     u.pendingWrites.clear();
     u.outstandingReads = 0;
-    u.waitIdle = false;
-    u.waitPort = false;
-    u.waitFillStall = false;
     u.needsWriteback = p.instr.op != Opcode::kIld;
     tables_.reset(u.n);
 }
@@ -579,7 +530,6 @@ Dx100::indirectFill(IndirectUnit &u)
     // the index load instead of serializing after it.
     const std::uint32_t fillLimit =
         std::min<std::uint32_t>(u.n, gateLimit(u.active));
-    u.fillGated = u.fillPos < u.n && u.fillPos >= fillLimit;
 
     // Condition-false iterations are skipped by a cheap pre-scan of
     // the condition tile (§3.2: the controller reads SPD[TC][i] and
@@ -636,21 +586,18 @@ Dx100::indirectFill(IndirectUnit &u)
     }
 }
 
-std::pair<bool, bool>
+void
 Dx100::indirectRequests(IndirectUnit &u)
 {
-    bool sent = false;
-    bool blocked = false;
-
     // Draining starts once the tile is fully inserted or fill is stuck
     // on a full slice (§3.2 Operation Stage 2). While fill merely paces
-    // a still-running producer (fillGated), requests are *not* issued:
+    // a still-running producer, requests are *not* issued:
     // draining early would split the Word-Table coalescing chains, and
     // when the chain is DRAM-bound the bandwidth floor dominates
     // anyway — the §3.5 overlap value is in the hidden fill stage.
     const bool draining = u.fillPos >= u.n || u.fillBlocked;
     if (!draining)
-        return {false, false};
+        return;
 
     const mem::DramGeometry &geom = dram_.geometry();
     const unsigned slicesPerChannel = geom.banksPerChannel();
@@ -671,7 +618,6 @@ Dx100::indirectRequests(IndirectUnit &u)
             if (req->cacheHit) {
                 if (!llcPort_ || !llcPort_->canAccept()) {
                     tables_.unsend(*req);
-                    blocked = true;
                     break;
                 }
                 cache::CacheReq creq;
@@ -685,7 +631,6 @@ Dx100::indirectRequests(IndirectUnit &u)
             } else {
                 if (!dram_.channel(ch).canAccept(false)) {
                     tables_.unsend(*req);
-                    blocked = true;
                     break;
                 }
                 dram_.access(line, false, mem::Origin::kDx100,
@@ -693,18 +638,15 @@ Dx100::indirectRequests(IndirectUnit &u)
                 ++stats_.dramReads;
             }
             ++u.outstandingReads;
-            sent = true;
             rr = (sliceInCh + 1) % slicesPerChannel;
             break;
         }
     }
-    return {sent, blocked};
 }
 
-bool
+void
 Dx100::indirectResponses(IndirectUnit &u)
 {
-    const bool any = !u.responses.empty();
     for (unsigned n = 0; n < cfg_.respPerCycle && !u.responses.empty();
          ++n) {
         const auto [handle, viaCache] = u.responses.front();
@@ -724,18 +666,16 @@ Dx100::indirectResponses(IndirectUnit &u)
                 {u.lineOfHandle[handle], viaCache});
         }
     }
-    return any;
 }
 
-std::pair<bool, bool>
+void
 Dx100::indirectWrites(IndirectUnit &u)
 {
-    bool sent = false;
     while (!u.pendingWrites.empty()) {
         const auto [line, viaCache] = u.pendingWrites.front();
         if (viaCache) {
             if (!llcPort_ || !llcPort_->canAccept())
-                return {sent, true};
+                return;
             cache::CacheReq creq;
             creq.addr = line;
             creq.write = true;
@@ -745,14 +685,12 @@ Dx100::indirectWrites(IndirectUnit &u)
             ++stats_.llcWrites;
         } else {
             if (!dram_.canAccept(line, true))
-                return {sent, true};
+                return;
             dram_.access(line, true, mem::Origin::kDx100, 0, nullptr);
             ++stats_.dramWrites;
         }
         u.pendingWrites.pop_front();
-        sent = true;
     }
-    return {sent, false};
 }
 
 void
@@ -760,74 +698,15 @@ Dx100::indirectTick(IndirectUnit &u)
 {
     if (!u.busy)
         return;
-    u.waitIdle = false;
-    const bool consumed = indirectResponses(u);
-    const auto [wrSent, wrBlocked] = indirectWrites(u);
-    // Fill's verdict as the request stage sees it: a slice-full stall
-    // found by fill later in this tick only starts the drain next tick.
-    const bool wasBlocked = u.fillBlocked;
-    const auto [rqSent, rqBlocked] = indirectRequests(u);
-    // Captured before fill runs: requests are issued earlier in the
-    // tick than fill, so "drain phase moved nothing" may only be
-    // concluded when the request stage already saw the completed fill
-    // (or the slice-full stall). On the very cycle fill finishes,
-    // first stalls, or inserts anything, the next tick can send new
-    // columns and must not be skipped.
-    const bool wasDrainDone = u.fillPos >= u.n;
-    bool fillStallOnly = false;
-    if (u.fillPos < u.n) {
-        const std::uint32_t pos0 = u.fillPos;
-        const std::uint32_t skip0 = u.skippedAtFill;
-        const bool stalled0 = u.tlbStall > 0;
+    indirectResponses(u);
+    indirectWrites(u);
+    // Requests go out before fill runs: a slice-full stall fill finds
+    // in this tick only starts the drain next tick.
+    indirectRequests(u);
+    if (u.fillPos < u.n)
         indirectFill(u);
-        // A slice-full retry that advanced nothing: re-running it only
-        // bumps fillStallCycles and re-hits the same TLB page, both of
-        // which skipCycles() accounts closed-form.
-        fillStallOnly = wasBlocked && u.fillBlocked && !stalled0 &&
-                        u.tlbStall == 0 && u.fillPos == pos0 &&
-                        u.skippedAtFill == skip0;
-    }
-    if (!consumed && !wrSent && !rqSent &&
-        (wasDrainDone || fillStallOnly)) {
-        // This cycle moved nothing (or only re-counted a fill stall):
-        // every issued request is in flight, so the next tick is a
-        // provable no-op until a response arrives (the response entry
-        // points clear waitIdle) — or, when a send was merely refused
-        // admission, until the blocking ports record a departure.
-        u.waitIdle = true;
-        u.waitFillStall = fillStallOnly;
-        u.waitPort = wrBlocked || rqBlocked;
-    }
     if (indirectDone(u))
         retire(UnitKind::kIndirect);
-}
-
-void
-Dx100::skipCycles(Cycle n)
-{
-    now_ += n;
-    if (indirect_.busy && indirect_.waitIdle && indirect_.waitFillStall) {
-        // Each skipped cycle would have retried the slice-full insert:
-        // one fill-stall count and one repeat hit of the (installed)
-        // page, exactly as the naive loop accumulates.
-        stats_.fillStallCycles += n;
-        tlb_.skipHits(n);
-    }
-    if (!inputQueue_.empty() && dispatchWait_) {
-        // Each skipped cycle would have re-scanned the window and
-        // counted one dispatch stall.
-        stats_.dispatchStalls += n;
-    }
-}
-
-void
-Dx100::departure()
-{
-    touch();
-    if (stream_.waitPort)
-        stream_.waitIdle = false;
-    if (indirect_.waitPort)
-        indirect_.waitIdle = false;
 }
 
 void
@@ -954,19 +833,8 @@ Dx100::debugDump() const
 Cycle
 Dx100::nextEventAt() const
 {
-    // A busy stream or indirect unit is quiet only in its wait-idle
-    // state (see {Stream,Indirect}Unit::waitIdle): everything issued
-    // and in flight, with any admission-blocked send still blocked. A
-    // backlogged inputQueue_ is quiet only while the last dispatch
-    // scan's verdict is frozen (dispatchWait_); each skipped cycle then
-    // accounts one dispatch stall closed-form.
-    const bool indirectIdle = !indirect_.busy || indirect_.waitIdle;
-    const bool streamIdle =
-        !stream_.busy || stream_.waitIdle ||
-        (stream_.waitGated &&
-         gateLimit(stream_.active) == stream_.gatePrefix);
-    if (!streamIdle || !indirectIdle || alu_.busy || range_.busy ||
-        (!inputQueue_.empty() && !dispatchWait_)) {
+    if (stream_.busy || indirect_.busy || alu_.busy || range_.busy ||
+        !inputQueue_.empty()) {
         return now_ + 1;
     }
     // A scratchpad head already due reads as "tick me" too.

@@ -155,26 +155,15 @@ class Dx100 final : public Component,
     }
 
     /**
-     * Tick contract (see DESIGN.md §4c): the scratchpad queue head
-     * (SPD entries share one fixed latency, so it is the earliest),
-     * kNeverCycle when only a doorbell, a memory response or a port
-     * departure can wake us, or now + 1 unless tick() would be a
-     * no-op — every unit idle or in its wait-idle state, nothing
-     * queued for dispatch or the dispatch verdict frozen. All other
-     * busy-but-blocked unit states still tick (conservative: their
-     * retries and stall counters must match the naive loop).
+     * Tick contract (see DESIGN.md §4c): now + 1 while any unit is
+     * busy or an instruction waits for dispatch; else the scratchpad
+     * queue head (SPD entries share one fixed latency, so it is the
+     * earliest), or kNeverCycle when only a doorbell can wake us.
      */
     Cycle nextEventAt() const;
 
-    /** A refused send may now be admitted: stop waiting on it. */
-    void departure() override;
-
-    /**
-     * Closed-form advance over @p n cycles nextEventAt() proved quiet.
-     * Accumulates the per-cycle stall stats a slice-full fill retry
-     * would have produced, so skipped runs stay bit-identical.
-     */
-    void skipCycles(Cycle n);
+    /** Closed-form advance over @p n idle cycles: nothing accrues. */
+    void skipCycles(Cycle n) { now_ += n; }
 
     /** Tile ready bit (true = no in-flight instruction uses it). */
     bool tileReady(unsigned tile) const;
@@ -255,30 +244,6 @@ class Dx100 final : public Component,
         unsigned outstanding = 0;
         unsigned linesDone = 0;
         bool isStore = false;
-
-        /**
-         * Set by streamTick() after a cycle that issued nothing and
-         * could not retire: the next tick is a provable no-op until a
-         * response arrives (StreamSink::complete clears the
-         * flag) or, when the LLC refused admission (waitPort), until
-         * a port departure. Never set while gated on a producer's
-         * finish bits — those advance in later unit ticks of the same
-         * cycle.
-         */
-        bool waitIdle = false;
-        bool waitPort = false; //!< waiting because a send was refused
-
-        /**
-         * The no-issue cycle was gated on a producer's finish bits at
-         * the recorded prefix. Unlike waitIdle this cannot be trusted
-         * as-is (producers tick later in the same cycle):
-         * nextEventAt() revalidates it by recomputing gateLimit and
-         * comparing with gatePrefix — equal means the producer has not
-         * advanced, so the next tick recomputes the same gate and is a
-         * no-op.
-         */
-        bool waitGated = false;
-        std::uint32_t gatePrefix = 0;
     };
 
     void streamStart(StreamUnit &u);
@@ -299,7 +264,6 @@ class Dx100 final : public Component,
         std::uint32_t n = 0;
         std::uint32_t fillPos = 0;
         bool fillBlocked = false;
-        bool fillGated = false; //!< waiting on a producer's finish bits
         unsigned tlbStall = 0;
         std::uint32_t wordsDone = 0;
         std::uint32_t skippedAtFill = 0; //!< condition-false elements
@@ -310,36 +274,14 @@ class Dx100 final : public Component,
         unsigned outstandingReads = 0;
 
         bool needsWriteback = false; //!< IST/IRMW
-
-        /**
-         * Set by indirectTick() after a cycle that moved nothing: the
-         * drain phase with every issued request in flight. The next
-         * tick is provably a no-op until a response arrives (the
-         * response entry points clear the flag) — or, when a sendable
-         * request/write was merely blocked on DRAM/LLC admission
-         * (waitPort), until those ports record a departure.
-         */
-        bool waitIdle = false;
-        bool waitPort = false; //!< waiting because a send was refused
-
-        /**
-         * The wait-idle cycle was a slice-full fill retry: the only
-         * effects of re-ticking are one fillStallCycles bump and one
-         * (idempotent) TLB re-hit per cycle, which skipCycles()
-         * accounts closed-form.
-         */
-        bool waitFillStall = false;
     };
 
     void indirectStart(IndirectUnit &u);
     void indirectTick(IndirectUnit &u);
     void indirectFill(IndirectUnit &u);
-    /** Returns {sent any request, sendable but blocked on admission}. */
-    std::pair<bool, bool> indirectRequests(IndirectUnit &u);
-    /** Returns true when at least one response was consumed. */
-    bool indirectResponses(IndirectUnit &u);
-    /** Returns {sent any write, head write blocked on admission}. */
-    std::pair<bool, bool> indirectWrites(IndirectUnit &u);
+    void indirectRequests(IndirectUnit &u);
+    void indirectResponses(IndirectUnit &u);
+    void indirectWrites(IndirectUnit &u);
     bool indirectDone(const IndirectUnit &u) const;
 
     // ---- fixed-throughput units ------------------------------------------
@@ -386,16 +328,6 @@ class Dx100 final : public Component,
     };
     std::vector<Doorbell> doorbells_;
     std::vector<std::deque<ExecPayload>> sideband_;
-
-    /**
-     * Last tryDispatch() scan found nothing dispatchable, for reasons
-     * frozen while the whole accelerator is quiet (unit-busy and
-     * hazard masks; never set when a region-ownership retry — which
-     * re-arbitrates against the clock — was involved). Cleared when
-     * the queue grows (mmioWrite) or a unit retires. While it holds,
-     * a skipped cycle accounts one dispatchStalls bump closed-form.
-     */
-    bool dispatchWait_ = false;
 
     std::deque<ExecPayload> inputQueue_;
     std::vector<std::uint64_t> regs_;

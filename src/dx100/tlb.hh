@@ -66,13 +66,6 @@ class Tlb
     std::uint64_t hits() const { return hits_.value(); }
     std::uint64_t misses() const { return misses_.value(); }
 
-    /**
-     * Closed-form account of @p n repeated hit lookups of one already
-     * installed page — what a skipped stall loop would have recorded
-     * (used by the scheduler's closed-form catch-up).
-     */
-    void skipHits(std::uint64_t n) { hits_ += n; }
-
   private:
     /** Capacity model: drop an arbitrary entry, but never the page
      *  that was just installed (evicting it would livelock the

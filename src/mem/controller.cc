@@ -33,14 +33,16 @@ oldestIn(Queue &queue, std::uint64_t banks)
 
 } // namespace
 
-MemoryController::MemoryController(const Config &cfg, unsigned channelId)
+MemoryController::MemoryController(const Config &cfg, unsigned channelId,
+                                   unsigned clockRatio)
     : Component("ch" + std::to_string(channelId)),
-      cfg_(cfg), channel_(channelId),
+      cfg_(cfg), channel_(channelId), ratio_(clockRatio),
       banks_(cfg.geom.banksPerChannel()),
       nextRefresh_(cfg.timings.tREFI)
 {
     dx_assert(!banks_.empty() && banks_.size() <= 64,
               "a channel needs 1..64 banks (the bank masks are 64 bits)");
+    dx_assert(ratio_ > 0, "a clock ratio is at least 1");
     readQueue_.reserve(cfg.readQueueSize);
     writeQueue_.reserve(cfg.writeQueueSize);
 }
@@ -61,6 +63,7 @@ MemoryController::readSlotsFree() const
 void
 MemoryController::enqueue(const MemRequest &req)
 {
+    touch(); // the entry's arrival stamp reads our clock
     dx_assert(canAccept(req.write), "controller queue overflow");
     dx_assert(req.coord.channel == channel_, "request routed to wrong "
               "channel");
@@ -141,6 +144,9 @@ MemoryController::wouldToggleWriteMode() const
 void
 MemoryController::tick()
 {
+    if (++phase_ < ratio_)
+        return; // off-phase core cycle: the controller does not run
+    phase_ = 0;
     ++now_;
     ++stats_.cycles;
     stats_.occupancyAccum += readQueue_.size() + writeQueue_.size();
@@ -284,7 +290,9 @@ MemoryController::tryColumn(std::vector<Entry> &queue, bool writes)
     if (--bank.queued[writes] == 0)
         busyBanks_[writes] &= ~bankBit(e.bank);
     queue.erase(it);
-    ++dequeues_; // a waiter upstream may be watching for space
+    ++dequeues_;
+    for (Component *c : clients_)
+        c->departure(); // a refused sender may now be admitted
     return true;
 }
 

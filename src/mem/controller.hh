@@ -18,6 +18,14 @@
  * take it this cycle, and only then walks the queue in age order to
  * pick the oldest eligible entry, so the FR-FCFS choice is the same as
  * a full rescan's. A channel has at most 64 banks (one 64-bit mask).
+ *
+ * Clock domains: the controller runs at the DRAM command clock, one
+ * controller cycle per clockRatio core cycles (1.6 GHz under a 3.2 GHz
+ * core for DDR4-3200). tick() and skipCycles() count core cycles, and
+ * nextEventAt() answers in core cycles, so each channel is its own
+ * slot in the System's wake list (DESIGN.md §4c); controller cycle c
+ * falls on core cycle c * clockRatio. now() and every timing field
+ * stay in controller cycles.
  */
 
 #ifndef DX_MEM_CONTROLLER_HH
@@ -83,7 +91,9 @@ class MemoryController final : public Component
         }
     };
 
-    MemoryController(const Config &cfg, unsigned channelId);
+    /** @p clockRatio core cycles make one controller cycle. */
+    MemoryController(const Config &cfg, unsigned channelId,
+                     unsigned clockRatio = 1);
 
     /** True if a request of the given type can be enqueued right now. */
     bool canAccept(bool write) const;
@@ -94,17 +104,25 @@ class MemoryController final : public Component
     /** Enqueue a request; canAccept(write) must be true. */
     void enqueue(const MemRequest &req);
 
-    /** Advance one controller clock cycle. */
+    /**
+     * Wake @p client (Component::departure) whenever an entry leaves
+     * the request buffers, so a sender refused admission may sleep.
+     */
+    void addClient(Component &client) { clients_.push_back(&client); }
+
+    /** Advance one core clock cycle; every clockRatio-th runs the
+     *  controller for one of its cycles. */
     void tick();
 
     /**
-     * Tick contract (see DESIGN.md §4c): the conservative earliest
-     * controller cycle at which tick() could act — the head in-flight
-     * response, the next refresh deadline, a pending write-mode
-     * toggle, or the earliest command a bank with entries in the queue
-     * being served could take (earliestCommandAt). May be
-     * earlier than the true event (that only degrades to normal
-     * ticking), never later. Every tick before it would be a no-op
+     * Tick contract (see DESIGN.md §4c): the core cycle of the
+     * conservative earliest controller cycle at which tick() could
+     * act — the head in-flight response, the next refresh deadline, a
+     * pending write-mode toggle, or the earliest command a bank with
+     * entries in the queue being served could take
+     * (earliestCommandAt). May be earlier than the true event (that
+     * only degrades to normal ticking), never later. Every tick
+     * before it would be a no-op
      * except for the closed-form per-cycle stats (cycles,
      * occupancyAccum). The O(banks) scan is cached until a productive
      * tick; an enqueue folds the new entry into the cache.
@@ -116,23 +134,26 @@ class MemoryController final : public Component
             refreshEventHint();
         // An overdue candidate (e.g. a second issuable entry the one-
         // command-per-cycle limit postponed) means "could act next
-        // tick".
+        // controller cycle".
         return eventHint_ == kNeverCycle
                    ? kNeverCycle
-                   : std::max(eventHint_, now_ + 1);
+                   : std::max(eventHint_, now_ + 1) * ratio_;
     }
 
     /**
-     * Closed-form advance over @p n controller cycles the caller has
-     * proven quiet (nextEventAt() > now() + n).
+     * Closed-form advance over @p n core cycles the caller has proven
+     * quiet: folds the divider phase forward over the controller
+     * cycles they cover.
      */
     void
     skipCycles(Cycle n)
     {
-        now_ += n;
-        stats_.cycles += n;
+        const Cycle ticks = (phase_ + n) / ratio_;
+        phase_ = static_cast<unsigned>((phase_ + n) % ratio_);
+        now_ += ticks;
+        stats_.cycles += ticks;
         stats_.occupancyAccum +=
-            n * (readQueue_.size() + writeQueue_.size());
+            ticks * (readQueue_.size() + writeQueue_.size());
     }
 
     /** Current controller cycle. */
@@ -144,10 +165,8 @@ class MemoryController final : public Component
     // Component introspection.
     void registerStats(StatRegistry &reg) const override;
 
-    /**
-     * Monotonic count of entries that left the request buffers (column
-     * command issued): the DRAM system wakes its clients when it moves.
-     */
+    /** Monotonic count of entries that left the request buffers
+     *  (column command issued). */
     std::uint64_t dequeueCount() const { return dequeues_; }
 
     const Stats &stats() const { return stats_; }
@@ -220,7 +239,10 @@ class MemoryController final : public Component
 
     const Config cfg_;
     const unsigned channel_;
-    Cycle now_ = 0;
+    const unsigned ratio_; //!< core cycles per controller cycle
+    unsigned phase_ = 0;   //!< core cycles since the last controller cycle
+    Cycle now_ = 0;        //!< controller cycle
+    std::vector<Component *> clients_;
 
     std::vector<Bank> banks_;       //!< per (rank, bg, bank) in channel
     std::vector<Entry> readQueue_;

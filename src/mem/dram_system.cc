@@ -12,8 +12,8 @@ DramSystem::DramSystem(const Config &cfg)
     : Component("dram"), cfg_(cfg), map_(cfg.ctrl.geom, cfg.order)
 {
     for (unsigned c = 0; c < cfg_.ctrl.geom.channels; ++c) {
-        channels_.push_back(
-            std::make_unique<MemoryController>(cfg_.ctrl, c));
+        channels_.push_back(std::make_unique<MemoryController>(
+            cfg_.ctrl, c, cfg_.clockRatio));
         adopt(*channels_.back());
     }
 }
@@ -31,10 +31,16 @@ DramSystem::canAccept(Addr lineAddr, bool write) const
 }
 
 void
+DramSystem::addClient(Component &client)
+{
+    for (auto &ch : channels_)
+        ch->addClient(client);
+}
+
+void
 DramSystem::access(Addr lineAddr, bool write, Origin origin,
                    std::uint64_t tag, MemRespSink *sink)
 {
-    touch(); // the enqueue stamps arrival with the channel's clock
     MemRequest req;
     req.lineAddr = lineAlign(lineAddr);
     req.write = write;
@@ -46,55 +52,10 @@ DramSystem::access(Addr lineAddr, bool write, Origin origin,
 }
 
 void
-DramSystem::advance(bool skipQuiet)
+DramSystem::tick()
 {
-    ++now_;
-    if (++phase_ < cfg_.clockRatio)
-        return; // off-phase core cycle: the controllers do not run
-    phase_ = 0;
-    const std::uint64_t before = totalDequeues_;
-    for (auto &ch : channels_) {
-        if (skipQuiet && ch->nextEventAt() > ch->now() + 1) {
-            ch->skipCycles(1);
-            continue;
-        }
-        const std::uint64_t d = ch->dequeueCount();
-        ch->tick();
-        totalDequeues_ += ch->dequeueCount() - d;
-    }
-    if (totalDequeues_ != before) {
-        for (Component *c : clients_)
-            c->departure();
-    }
-}
-
-Cycle
-DramSystem::nextEventAt() const
-{
-    Cycle best = kNeverCycle;
-    for (const auto &ch : channels_) {
-        const Cycle ev = ch->nextEventAt();
-        if (ev == kNeverCycle)
-            continue;
-        // Controller tick #j (j >= 1) from here lands on core cycle
-        // now_ + (clockRatio - phase_) + (j - 1) * clockRatio.
-        const Cycle j = ev - ch->now();
-        best = std::min(best, now_ + (cfg_.clockRatio - phase_) +
-                                  (j - 1) * cfg_.clockRatio);
-    }
-    return best;
-}
-
-void
-DramSystem::skipCycles(Cycle n)
-{
-    now_ += n;
-    const Cycle ticks = (phase_ + n) / cfg_.clockRatio;
-    phase_ = static_cast<unsigned>((phase_ + n) % cfg_.clockRatio);
-    if (ticks == 0)
-        return;
     for (auto &ch : channels_)
-        ch->skipCycles(ticks);
+        ch->tick();
 }
 
 bool
@@ -178,7 +139,12 @@ DramSystem::registerStats(StatRegistry &reg) const
     g.value("linesTransferred",
             std::function<std::uint64_t()>(
                 [this] { return linesTransferred(); }));
-    g.value("dequeues", totalDequeues_);
+    g.value("dequeues", std::function<std::uint64_t()>([this] {
+                std::uint64_t n = 0;
+                for (const auto &ch : channels_)
+                    n += ch->dequeueCount();
+                return n;
+            }));
 }
 
 } // namespace dx::mem

@@ -1,8 +1,8 @@
 /**
  * @file
  * Multi-channel DRAM system: routes line requests to per-channel FR-FCFS
- * controllers and bridges the core clock domain (3.2 GHz) to the
- * controller clock domain (1.6 GHz for DDR4-3200).
+ * controllers, each of which runs at the controller clock (1.6 GHz for
+ * DDR4-3200 under a 3.2 GHz core; see MemoryController).
  */
 
 #ifndef DX_MEM_DRAM_SYSTEM_HH
@@ -42,38 +42,21 @@ class DramSystem final : public Component
     bool canAccept(Addr lineAddr, bool write) const;
 
     /**
-     * Wake @p client (Component::departure) on every controller tick
-     * that moves an entry out of a channel's request buffers.
+     * Wake @p client (Component::departure) whenever an entry leaves
+     * any channel's request buffers.
      */
-    void addClient(Component &client) { clients_.push_back(&client); }
+    void addClient(Component &client);
 
     /** Enqueue a line request; canAccept must hold. */
     void access(Addr lineAddr, bool write, Origin origin,
                 std::uint64_t tag, MemRespSink *sink);
 
-    /** Advance one core clock cycle. */
-    void tick() { advance(false); }
-
     /**
-     * Advance one core clock cycle, skipping quiet channels on a
-     * controller-clock edge via their closed-form skipCycles instead of
-     * ticking them. Observable-state equivalent to tick().
+     * Advance every channel one core clock cycle, for rigs that drive
+     * the DRAM system alone; a System ticks each channel as its own
+     * wake-list slot.
      */
-    void tickScheduled() { advance(true); }
-
-    /**
-     * Earliest *core* cycle any channel could act, translated from the
-     * controller clock domain through the divider phase; kNeverCycle
-     * when every channel is idle with no timers running.
-     */
-    Cycle nextEventAt() const;
-
-    /**
-     * Closed-form advance over @p n core cycles the caller has proven
-     * quiet: folds the divider phase forward and skips the covered
-     * controller cycles in every channel.
-     */
-    void skipCycles(Cycle n);
+    void tick();
 
     /** True when all channels are drained. */
     bool drained() const;
@@ -104,16 +87,9 @@ class DramSystem final : public Component
     double peakBytesPerCoreCycle() const;
 
   private:
-    /** One core cycle; @p skipQuiet skips channels with no event due. */
-    void advance(bool skipQuiet);
-
     const Config cfg_;
     AddressMap map_;
     std::vector<std::unique_ptr<MemoryController>> channels_;
-    std::vector<Component *> clients_;
-    std::uint64_t totalDequeues_ = 0; //!< sum over the channels
-    unsigned phase_ = 0; //!< core cycles since last controller tick
-    Cycle now_ = 0;      //!< core-domain clock
 };
 
 } // namespace dx::mem

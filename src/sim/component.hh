@@ -110,11 +110,7 @@ class WakeList
             if (ev <= now_) {
                 s.clock = now_;
                 s.wakeAt = now_ + 1;
-                // The DRAM system skips its quiet channels itself.
-                if constexpr (requires { c.tickScheduled(); })
-                    c.tickScheduled();
-                else
-                    c.tick();
+                c.tick();
             } else {
                 s.clock = now_ - 1;
                 s.wakeAt = ev;
@@ -222,8 +218,8 @@ class Component
 
     /**
      * A port this component is bound to released an entry (see
-     * RequestPort::addClient). Components that remember a refused send
-     * override it to forget that wait, after touch().
+     * RequestPort::addClient): a send it was refused may now be
+     * admitted, so it becomes due.
      */
     virtual void departure() { touch(); }
 

@@ -71,10 +71,10 @@ ExpOptions::parse(int argc, char **argv)
                 opt.scale = 1.0;
             } else {
                 const auto d = parseDouble(v);
-                if (!d || *d <= 0.0) {
+                if (!d || !std::isfinite(*d) || *d <= 0.0) {
                     dx_fatal("bad --scale value '", v,
-                             "': expected a positive number, 'small' "
-                             "or 'paper'", kUsage);
+                             "': expected a positive finite number, "
+                             "'small' or 'paper'", kUsage);
                 }
                 opt.scale = *d;
             }

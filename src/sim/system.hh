@@ -276,9 +276,9 @@ class System final : public Component
 
     /**
      * Visit every ticked component in tick order — cores, L1s, L2s,
-     * LLC, DX100 instances, DRAM — as its concrete `final` type, so
-     * the Ticked calls @p f makes are statically dispatched. A const
-     * System visits const components.
+     * LLC, DX100 instances, DRAM channels — as its concrete `final`
+     * type, so the Ticked calls @p f makes are statically dispatched.
+     * A const System visits const components.
      */
     template <typename F>
     void forEachInTickOrder(F &&f) { visitInTickOrder(*this, f); }
@@ -305,11 +305,13 @@ class System final : public Component
         f(at(self.llc_));
         for (auto &d : self.dxs_)
             f(at(d));
-        f(at(self.dram_));
+        auto &dram = at(self.dram_);
+        for (unsigned c = 0; c < dram.channels(); ++c)
+            f(dram.channel(c));
     }
 
     static_assert(Ticked<cpu::Core> && Ticked<cache::Cache> &&
-                  Ticked<dx100::Dx100> && Ticked<mem::DramSystem>);
+                  Ticked<dx100::Dx100> && Ticked<mem::MemoryController>);
 
     SystemConfig cfg_;
     const bool naiveTick_;

@@ -281,7 +281,7 @@ TEST(ComponentTree, DmpTopology)
 // instance and DRAM, each exactly once, in that order.
 TEST(ComponentTree, TickOrder)
 {
-    const auto expected = [](unsigned cores,
+    const auto expected = [](unsigned cores, unsigned channels,
                              std::vector<std::string> dxs) {
         std::vector<std::string> order;
         for (const char *level : {"", ".l1d", ".l2"}) {
@@ -292,13 +292,14 @@ TEST(ComponentTree, TickOrder)
         order.push_back("system.llc");
         for (std::string &d : dxs)
             order.push_back("system." + d);
-        order.push_back("system.dram");
+        for (unsigned c = 0; c < channels; ++c)
+            order.push_back("system.dram.ch" + std::to_string(c));
         return order;
     };
     EXPECT_EQ(TickOrderProbe::paths(System(SystemConfig::withDx100(4, 2))),
-              expected(4, {"dx100_0", "dx100_1"}));
+              expected(4, 2, {"dx100_0", "dx100_1"}));
     EXPECT_EQ(TickOrderProbe::paths(System(SystemConfig::withDmp(2))),
-              expected(2, {}));
+              expected(2, 2, {}));
 }
 
 TEST(ComponentTree, StatPathsUniqueAndComplete)

@@ -334,7 +334,9 @@ TEST(Controller, RandomRowsYieldLowRowHitRate)
 // choice, a timing rule or refresh shows up here before it reaches the
 // system-level goldens. Each case runs twice: ticking every cycle, and
 // skipping the cycles nextEventAt() proves idle (the §4c contract) —
-// both must reproduce the golden exactly.
+// both must reproduce the golden exactly. Both drivers also run a
+// controller at clock ratio 2, driven in core cycles: its completions
+// and stats, in controller cycles, must match the same golden.
 // Regenerate after an intended change with DX_REGEN_GOLDEN=1
 // (tools/regen_golden.sh does this).
 // ---------------------------------------------------------------------
@@ -438,13 +440,17 @@ goldenTraffic(const MemoryController::Config &cfg, const TrafficMix &mix,
     return out;
 }
 
-/** Run one case; returns the golden text block for it. */
+/**
+ * Run one case on a controller at @p ratio core cycles per controller
+ * cycle, ticked or skipped one core cycle at a time; returns the
+ * golden text block for it.
+ */
 std::string
 runOrderCase(unsigned ranks, unsigned queue, const TrafficMix &mix,
-             bool skip)
+             bool skip, unsigned ratio)
 {
     const MemoryController::Config cfg = goldenConfig(ranks, queue);
-    MemoryController ctrl(cfg, 0);
+    MemoryController ctrl(cfg, 0, ratio);
     OrderSink sink;
     sink.ctrl = &ctrl;
     const std::uint64_t seed = 1000 * ranks + 10 * queue + mix.seed;
@@ -458,6 +464,7 @@ runOrderCase(unsigned ranks, unsigned queue, const TrafficMix &mix,
         src[a.req.write].push_back(&a);
 
     const Cycle limit = 10'000'000;
+    Cycle core = 0; // the driver's clock, in core cycles
     while (!(src[0].empty() && src[1].empty() && ctrl.drained()) &&
            ctrl.now() < limit) {
         Cycle nextArrival = kNeverCycle;
@@ -470,12 +477,17 @@ runOrderCase(unsigned ranks, unsigned queue, const TrafficMix &mix,
             if (!q.empty() && q.front()->at > ctrl.now())
                 nextArrival = std::min(nextArrival, q.front()->at);
         }
-        if (skip && ctrl.nextEventAt() > ctrl.now() + 1) {
-            const Cycle until =
-                std::min(ctrl.nextEventAt() - 1, nextArrival);
-            ctrl.skipCycles(until - ctrl.now());
+        // Controller cycle c starts on core cycle c * ratio.
+        if (skip && ctrl.nextEventAt() > core + 1) {
+            const Cycle until = std::min(
+                ctrl.nextEventAt() - 1,
+                nextArrival == kNeverCycle ? kNeverCycle
+                                           : nextArrival * ratio);
+            ctrl.skipCycles(until - core);
+            core = until;
         } else {
             ctrl.tick();
+            ++core;
         }
     }
     EXPECT_LT(ctrl.now(), limit) << "controller did not drain";
@@ -526,25 +538,29 @@ TEST(ControllerGolden, CommandOrderMatchesGolden)
         std::filesystem::path(DX_SOURCE_DIR) / "tests" / "golden" /
         "controller_order.txt";
 
-    for (const bool skip : {false, true}) {
-        std::string actual;
-        for (const unsigned ranks : {1u, 2u, 4u})
-            for (const unsigned queue : {1u, 4u, 32u})
-                for (const TrafficMix &mix : kMixes)
-                    actual += runOrderCase(ranks, queue, mix, skip);
+    for (const unsigned ratio : {1u, 2u}) {
+        for (const bool skip : {false, true}) {
+            std::string actual;
+            for (const unsigned ranks : {1u, 2u, 4u})
+                for (const unsigned queue : {1u, 4u, 32u})
+                    for (const TrafficMix &mix : kMixes)
+                        actual +=
+                            runOrderCase(ranks, queue, mix, skip, ratio);
 
-        const char *regen = std::getenv("DX_REGEN_GOLDEN");
-        if (!skip && regen && regen[0] == '1') {
-            std::ofstream(file) << actual;
-            continue;
+            const char *regen = std::getenv("DX_REGEN_GOLDEN");
+            if (ratio == 1 && !skip && regen && regen[0] == '1') {
+                std::ofstream(file) << actual;
+                continue;
+            }
+            std::ifstream in(file);
+            ASSERT_TRUE(in) << "missing golden file " << file;
+            std::ostringstream want;
+            want << in.rdbuf();
+            EXPECT_TRUE(want.str() == actual)
+                << (skip ? "skipping" : "ticking")
+                << " driver at clock ratio " << ratio
+                << " diverged from the golden command order at "
+                << firstDiff(want.str(), actual);
         }
-        std::ifstream in(file);
-        ASSERT_TRUE(in) << "missing golden file " << file;
-        std::ostringstream want;
-        want << in.rdbuf();
-        EXPECT_TRUE(want.str() == actual)
-            << (skip ? "skipping" : "ticking")
-            << " driver diverged from the golden command order at "
-            << firstDiff(want.str(), actual);
     }
 }

@@ -217,6 +217,9 @@ TEST(ExpOptionsParse, MalformedValuesAreFatalNotExceptions)
     EXPECT_THROW(parseArgs({"--scale=1.5x"}), FatalError);
     EXPECT_THROW(parseArgs({"--scale=-2"}), FatalError);
     EXPECT_THROW(parseArgs({"--scale=0"}), FatalError);
+    EXPECT_THROW(parseArgs({"--scale=nan"}), FatalError);
+    EXPECT_THROW(parseArgs({"--scale=inf"}), FatalError);
+    EXPECT_THROW(parseArgs({"--scale=1e400"}), FatalError);
     EXPECT_THROW(parseArgs({"--jobs=0"}), FatalError);
     EXPECT_THROW(parseArgs({"--jobs=lots"}), FatalError);
     EXPECT_THROW(parseArgs({"--jobs="}), FatalError);

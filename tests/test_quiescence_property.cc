@@ -98,8 +98,9 @@ presetConfig(std::mt19937 &rng)
 /**
  * A random valid configuration at the edges the presets never reach:
  * 1-8 cores, 1/2/4/8 channels, 0-2 DX100 instances (never with the
- * DMP), and cache MSHR counts and input queues, DRAM read/write queues
- * and the scratchpad port queue down to one entry.
+ * DMP), cache MSHR counts and input queues, DRAM read/write queues and
+ * the scratchpad port queue down to one entry, and a core/controller
+ * clock ratio of 1-3.
  */
 SystemConfig
 randomConfig(std::mt19937 &rng)
@@ -136,6 +137,8 @@ randomConfig(std::mt19937 &rng)
         ctrl.writeLoWatermark = ctrl.writeQueueSize / 4;
     }
     shrink(cfg.dx.spdPortQueue);
+    // Drawn last, so the draws above give each seed its old config.
+    cfg.dram.clockRatio = pick(1, 3);
     cfg.validate();
     return cfg;
 }
@@ -172,7 +175,8 @@ configString(const SystemConfig &c)
        << c.dram.ctrl.writeQueueSize << " watermarks="
        << c.dram.ctrl.writeLoWatermark << "/"
        << c.dram.ctrl.writeHiWatermark
-       << " spdPortQueue=" << c.dx.spdPortQueue;
+       << " spdPortQueue=" << c.dx.spdPortQueue
+       << " clockRatio=" << c.dram.clockRatio;
     return os.str();
 }
 
