@@ -42,8 +42,8 @@ const std::vector<Row> kRows = {
 WorkloadSpec
 micro(std::string name, wl::WorkloadFactory make)
 {
-    // Fixed-size micros ignore Scale: run fresh, never cached.
-    return {std::move(name), "micro", std::move(make), false};
+    // Fixed-size micros ignore Scale.
+    return {std::move(name), "micro", std::move(make)};
 }
 
 RunMatrix

@@ -68,8 +68,7 @@ allMissMatrix()
                [pat](Scale) -> std::unique_ptr<Workload> {
                    return std::make_unique<GatherMicro>(
                        GatherMicro::Mode::kFull, kN, pat);
-               },
-               /*cacheable=*/false});
+               }});
     }
     m.addConfig("baseline", SystemConfig::baseline());
     m.addConfig("dx100", SystemConfig::withDx100());

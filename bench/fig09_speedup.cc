@@ -3,8 +3,8 @@
  * Reproduces paper Fig. 9: DX100 speedup over the 4-core baseline for
  * the 12 evaluation workloads (geomean reported 2.6x in the paper).
  *
- * Shares its run matrix (RunMatrix::paperMain, and thus the on-disk
- * stats cache) with fig10/fig11 by construction.
+ * Shares its run matrix definition (RunMatrix::paperMain) with
+ * fig10/fig11 by construction.
  */
 
 #include <cstdio>

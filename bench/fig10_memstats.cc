@@ -3,7 +3,7 @@
  * Reproduces paper Fig. 10: (a) DRAM bandwidth utilization, (b) row
  * buffer hit rate, and (c) request buffer occupancy, baseline vs
  * DX100 (paper averages: 3.9x bandwidth, 2.7x row hits, 12.1x
- * occupancy). Shares RunMatrix::paperMain (and cache) with fig09/11.
+ * occupancy). Shares RunMatrix::paperMain with fig09/11.
  */
 
 #include <algorithm>

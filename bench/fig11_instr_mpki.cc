@@ -2,7 +2,7 @@
  * @file
  * Reproduces paper Fig. 11: (a) core instruction reduction (geomean
  * 3.6x in the paper) and (b) cache MPKI reduction (avg 6.1x). Shares
- * RunMatrix::paperMain (and cache) with fig09/10.
+ * RunMatrix::paperMain with fig09/10.
  */
 
 #include <algorithm>

@@ -2,8 +2,8 @@
  * @file
  * Reproduces paper Fig. 12: DX100 vs the DMP-style indirect prefetcher
  * — (a) speedup (paper geomean 2.0x) and (b) bandwidth utilization
- * (paper 3.3x higher for DX100). The dx100 column reuses the same
- * cache entries as the paper_main matrix (identical tag and config).
+ * (paper 3.3x higher for DX100). The dx100 column uses the paper_main
+ * tag and config, so its cells match fig09's dx100 cells.
  */
 
 #include <algorithm>

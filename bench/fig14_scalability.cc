@@ -5,9 +5,9 @@
  * with 8 cores / 1 instance (4 channels), 2.7x with 8 cores / 2
  * instances (core multiplexing + region coherence).
  *
- * The 4-core pair reuses the paper_main tags, so those 24 cells come
- * straight from the fig09/10/11 cache. The 8-core columns carry a 2x
- * scale multiplier (the paper doubles the dataset with the cores).
+ * The 4-core pair uses the paper_main tags and configs, so those 24
+ * cells match fig09/10/11. The 8-core columns carry a 2x scale
+ * multiplier (the paper doubles the dataset with the cores).
  */
 
 #include <cstdio>

@@ -57,8 +57,7 @@ ablationMatrix()
            [](Scale) -> std::unique_ptr<Workload> {
                return std::make_unique<GatherMicro>(
                    GatherMicro::Mode::kFull, kN, worstPattern());
-           },
-           /*cacheable=*/false});
+           }});
 
     for (auto order : kOrders) {
         SystemConfig bc = SystemConfig::baseline();

@@ -467,6 +467,22 @@ Cache::drained() const
     return !busy() && (!prefetcher_ || !prefetcher_->pending());
 }
 
+void
+Cache::auditDrained() const
+{
+    dx_assert(mshrsInUse_ == 0, cfg_.name, ": MSHRs in use at drain");
+    unsigned free = 0;
+    for (const std::uint64_t w : freeMshrs_)
+        free += static_cast<unsigned>(std::popcount(w));
+    dx_assert(free == cfg_.mshrs, cfg_.name,
+              ": MSHR free bitmap not full at drain");
+    for (const IndexSlot &s : index_) {
+        dx_assert(s.line == kEmptySlot, cfg_.name,
+                  ": line index still maps line ", s.line,
+                  " at drain");
+    }
+}
+
 Cache::HeadStall
 Cache::headStall() const
 {

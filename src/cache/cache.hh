@@ -119,6 +119,13 @@ class Cache final : public Component,
      */
     bool drained() const;
 
+    /**
+     * Panic unless the redundant MSHR indexes agree with a drained
+     * cache: every line-index slot empty and every MSHR free. Checked
+     * once per run, after the drain, never per cycle.
+     */
+    void auditDrained() const;
+
     // SnoopPort: residency and invalidation (DX100's H bit).
     bool containsLine(Addr line) const override;
     bool invalidateLine(Addr line) override;

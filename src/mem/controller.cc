@@ -104,6 +104,18 @@ MemoryController::drained() const
     return readQueue_.empty() && writeQueue_.empty() && pending_.empty();
 }
 
+void
+MemoryController::auditDrained() const
+{
+    dx_assert(busyBanks_[0] == 0 && busyBanks_[1] == 0, path(),
+              ": busy-bank mask set at drain");
+    for (const Bank &b : banks_) {
+        dx_assert(b.queued[0] == 0 && b.queued[1] == 0 &&
+                      b.rowHits[0] == 0 && b.rowHits[1] == 0,
+                  path(), ": bank queue counts non-zero at drain");
+    }
+}
+
 bool
 MemoryController::deliverResponses()
 {

@@ -162,6 +162,13 @@ class MemoryController final : public Component
     /** True when both queues and in-flight responses are empty. */
     bool drained() const;
 
+    /**
+     * Panic unless the per-bank queue counts agree with a drained
+     * controller: every Bank::queued and Bank::rowHits zero and no
+     * bank marked busy. Checked once per run, after the drain.
+     */
+    void auditDrained() const;
+
     // Component introspection.
     void registerStats(StatRegistry &reg) const override;
 

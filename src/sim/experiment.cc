@@ -1,16 +1,13 @@
 #include "sim/experiment.hh"
 
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iomanip>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <thread>
-
-#include <unistd.h>
 
 #include "common/logging.hh"
 
@@ -21,8 +18,7 @@ namespace
 {
 
 const char kUsage[] =
-    " (supported: --scale=<f|small|paper>, --jobs=<n>, --json, "
-    "--no-cache, --cache-dir=<dir>)";
+    " (supported: --scale=<f|small|paper>, --jobs=<n>, --json)";
 
 /** stod that rejects trailing garbage; nullopt on any parse failure. */
 std::optional<double>
@@ -88,12 +84,6 @@ ExpOptions::parse(int argc, char **argv)
             opt.jobs = *n;
         } else if (arg == "--json") {
             opt.json = true;
-        } else if (arg == "--no-cache") {
-            opt.useCache = false;
-        } else if (arg.rfind("--cache-dir=", 0) == 0) {
-            opt.cacheDir = arg.substr(12);
-            if (opt.cacheDir.empty())
-                dx_fatal("bad --cache-dir: empty path", kUsage);
         } else {
             dx_fatal("unknown bench option: ", arg, kUsage);
         }
@@ -111,36 +101,6 @@ ExpOptions::effectiveJobs() const
 }
 
 std::string
-serializeStats(const RunStats &s)
-{
-    std::ostringstream os;
-    os << std::setprecision(std::numeric_limits<double>::max_digits10);
-    s.forEachField([&](const char *name, auto value) {
-        os << name << " " << value << "\n";
-    });
-    return os.str();
-}
-
-std::optional<RunStats>
-parseStats(const std::string &text)
-{
-    RunStats s;
-    std::istringstream is(text);
-    std::string key;
-    double value;
-    std::size_t fields = 0;
-    while (is >> key >> value) {
-        if (s.setField(key, value))
-            ++fields;
-    }
-    // An entry missing schema fields is treated as corrupt: older
-    // cache files (or truncated writes) must not shadow a fresh run.
-    if (fields < RunStats::fieldCount())
-        return std::nullopt;
-    return s;
-}
-
-std::string
 statsToJson(const RunStats &s)
 {
     std::ostringstream os;
@@ -153,68 +113,6 @@ statsToJson(const RunStats &s)
     });
     os << "}";
     return os.str();
-}
-
-// Bump whenever a RunStats field changes meaning, so entries written by
-// an older model miss the cache instead of being served. v2:
-// coalescingFactor aggregates over every DX100 instance. v3: the DX100
-// fill-stall skip no longer diverges from the per-cycle loop.
-constexpr int kStatsCacheVersion = 3;
-
-std::filesystem::path
-cachePath(const std::string &cacheDir, const std::string &workload,
-          const std::string &configTag, double scale)
-{
-    std::ostringstream key;
-    key << workload << "_" << configTag << "_s" << scale << "_v"
-        << kStatsCacheVersion << ".stats";
-    return std::filesystem::path(cacheDir) / key.str();
-}
-
-std::optional<RunStats>
-loadCachedStats(const std::filesystem::path &p)
-{
-    std::ifstream in(p);
-    if (!in)
-        return std::nullopt;
-    std::stringstream buf;
-    buf << in.rdbuf();
-    return parseStats(buf.str());
-}
-
-void
-storeCachedStats(const std::filesystem::path &p, const RunStats &s)
-{
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    fs::create_directories(p.parent_path(), ec);
-    if (ec) {
-        dx_fatal("cannot create cache directory ",
-                 p.parent_path().string(), ": ", ec.message());
-    }
-
-    // Unique temp name per process and store: concurrent writers of
-    // the same cell each build their own file, then the atomic rename
-    // makes one of them the entry — never a torn mix of both.
-    static std::atomic<unsigned> counter{0};
-    std::ostringstream tmpName;
-    tmpName << p.filename().string() << ".tmp." << ::getpid() << "."
-            << counter.fetch_add(1);
-    const fs::path tmp = p.parent_path() / tmpName.str();
-
-    {
-        std::ofstream out(tmp);
-        if (!out) {
-            dx_fatal("cannot write cache entry ", tmp.string());
-        }
-        out << serializeStats(s);
-    }
-    fs::rename(tmp, p, ec);
-    if (ec) {
-        fs::remove(tmp);
-        dx_fatal("cannot publish cache entry ", p.string(), ": ",
-                 ec.message());
-    }
 }
 
 namespace
@@ -272,8 +170,7 @@ printBenchHeader(const std::string &title, const ExpOptions &opt)
     std::printf("%s\n", title.c_str());
     std::printf("scale=%.3g\n", opt.scale);
     std::printf("==========================================================\n");
-    dx_inform("jobs=", opt.effectiveJobs(),
-              " cache=", opt.useCache ? opt.cacheDir : "off");
+    dx_inform("jobs=", opt.effectiveJobs());
 }
 
 } // namespace dx::sim

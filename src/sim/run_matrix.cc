@@ -1,13 +1,11 @@
 #include "sim/run_matrix.hh"
 
-#include <cstdint>
 #include <fstream>
 #include <iomanip>
 #include <limits>
 #include <sstream>
 
 #include "common/logging.hh"
-#include "sim/parallel_runner.hh"
 
 namespace dx::sim
 {
@@ -69,9 +67,7 @@ MatrixResult::toJson(const std::string &benchName,
         os << "    {\"workload\": \"" << w.name << "\", \"suite\": \""
            << w.suite << "\", \"config\": \"" << cfg.tag
            << "\", \"scaleMult\": " << cfg.scaleMult
-           << ", \"ok\": " << (c.result.ok ? "true" : "false")
-           << ", \"fromCache\": "
-           << (c.result.fromCache ? "true" : "false");
+           << ", \"ok\": " << (c.result.ok ? "true" : "false");
         if (c.result.ok)
             os << ", \"stats\": " << statsToJson(c.result.stats);
         else
@@ -87,13 +83,6 @@ MatrixResult::toJson(const std::string &benchName,
 // ---------------------------------------------------------------------
 
 RunMatrix::RunMatrix(std::string name) : name_(std::move(name)) {}
-
-RunMatrix &
-RunMatrix::add(const wl::WorkloadEntry &entry)
-{
-    workloads_.push_back({entry.name, entry.suite, entry.make, true});
-    return *this;
-}
 
 RunMatrix &
 RunMatrix::add(WorkloadSpec spec)
@@ -141,24 +130,6 @@ RunMatrix::cellEnabled(const WorkloadSpec &w, const ConfigSpec &c) const
 MatrixResult
 RunMatrix::run(const ExpOptions &opt) const
 {
-    // Fail fast on an unusable cache directory: discovering it per
-    // cell would simulate the whole matrix first and then fail every
-    // store.
-    if (opt.useCache) {
-        bool anyCacheable = false;
-        for (const auto &w : workloads_)
-            anyCacheable = anyCacheable || w.cacheable;
-        if (anyCacheable) {
-            std::error_code ec;
-            std::filesystem::create_directories(opt.cacheDir, ec);
-            if (ec) {
-                dx_fatal("cannot create cache directory ",
-                         opt.cacheDir, ": ", ec.message(),
-                         " (use --cache-dir=<dir> or --no-cache)");
-            }
-        }
-    }
-
     MatrixResult res;
     res.workloads_ = workloads_;
     res.configs_ = configs_;
@@ -176,39 +147,17 @@ RunMatrix::run(const ExpOptions &opt) const
         }
     }
 
-    // fromCache flags live outside JobResult; one slot per job, each
-    // touched only by the thread running that job (vector<uint8_t>,
-    // not vector<bool>, so neighbouring slots do not share an object).
-    std::vector<std::uint8_t> fromCache(pending.size(), 0);
-
     std::vector<Job> jobs;
     jobs.reserve(pending.size());
     for (std::size_t i = 0; i < pending.size(); ++i) {
         const WorkloadSpec &w = workloads_[pending[i].w];
         const ConfigSpec &c = configs_[pending[i].c];
         const double effScale = opt.scale * c.scaleMult;
-        std::uint8_t *cachedFlag = &fromCache[i];
-        jobs.push_back(
-            {w.name + "/" + c.tag, [&w, &c, effScale, opt,
-                                    cachedFlag]() -> RunStats {
-                 const bool useCache = w.cacheable && opt.useCache;
-                 const auto path = cachePath(opt.cacheDir, w.name,
-                                             c.tag, effScale);
-                 if (useCache) {
-                     if (auto cached = loadCachedStats(path)) {
-                         *cachedFlag = 1;
-                         dx_inform("cached");
-                         return *cached;
-                     }
-                 }
-                 dx_inform("run ...");
-                 auto workload = w.make(wl::Scale{effScale});
-                 const RunStats stats =
-                     runWorkloadOnce(*workload, c.cfg);
-                 if (useCache)
-                     storeCachedStats(path, stats);
-                 return stats;
-             }});
+        jobs.push_back({w.name + "/" + c.tag, [&w, &c, effScale] {
+                            dx_inform("run ...");
+                            auto workload = w.make(wl::Scale{effScale});
+                            return runWorkloadOnce(*workload, c.cfg);
+                        }});
     }
 
     ParallelRunner runner(opt.effectiveJobs());
@@ -218,10 +167,7 @@ RunMatrix::run(const ExpOptions &opt) const
         MatrixResult::Cell cell;
         cell.workload = pending[i].w;
         cell.config = pending[i].c;
-        cell.result.ok = out[i].ok;
-        cell.result.stats = out[i].stats;
-        cell.result.error = out[i].error;
-        cell.result.fromCache = fromCache[i] != 0;
+        cell.result = out[i];
         if (!out[i].ok) {
             dx_warn("cell ", jobs[i].label,
                     " failed: ", out[i].error,

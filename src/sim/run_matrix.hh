@@ -6,9 +6,9 @@
  * the finished MatrixResult instead of open-coding nested loops; the
  * cells execute on the parallel runner and land in declaration order.
  *
- * Fig. 9/10/11 share one matrix object (RunMatrix::paperMain()), so
- * their cache sharing holds by construction rather than by the three
- * benches happening to spell the same cache keys.
+ * Fig. 9/10/11 share one grid definition (RunMatrix::paperMain()), so
+ * the three benches print views of the same 24 cells. Each bench
+ * simulates every cell it prints.
  */
 
 #ifndef DX_SIM_RUN_MATRIX_HH
@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "sim/experiment.hh"
+#include "sim/parallel_runner.hh"
 #include "sim/system.hh"
 #include "workloads/workload.hh"
 
@@ -27,18 +28,7 @@ namespace dx::sim
 {
 
 /** A row of the matrix: a named workload factory. */
-struct WorkloadSpec
-{
-    std::string name;
-    std::string suite;
-    wl::WorkloadFactory make;
-    /**
-     * Micro workloads with hard-coded sizes ignore Scale and are run
-     * fresh every time (cacheable = false); the paper workloads are
-     * keyed on (name, tag, scale) in the on-disk cache.
-     */
-    bool cacheable = true;
-};
+using WorkloadSpec = wl::WorkloadEntry;
 
 /** A column of the matrix: a tagged system configuration. */
 struct ConfigSpec
@@ -52,14 +42,8 @@ struct ConfigSpec
     double scaleMult = 1.0;
 };
 
-/** Outcome of one (workload, config) cell. */
-struct CellResult
-{
-    RunStats stats;          //!< valid only when ok
-    bool ok = false;
-    bool fromCache = false;
-    std::string error;       //!< failure description when !ok
-};
+/** Outcome of one (workload, config) cell: its job's result. */
+using CellResult = JobResult;
 
 class MatrixResult
 {
@@ -106,7 +90,6 @@ class RunMatrix
   public:
     explicit RunMatrix(std::string name);
 
-    RunMatrix &add(const wl::WorkloadEntry &entry);
     RunMatrix &add(WorkloadSpec spec);
     RunMatrix &addWorkloads(const std::vector<wl::WorkloadEntry> &es);
     RunMatrix &addConfig(std::string tag, const SystemConfig &cfg,
@@ -128,11 +111,8 @@ class RunMatrix
 
     /**
      * Execute every (workload, config) cell on opt.effectiveJobs()
-     * workers. Cached cells are reloaded instead of re-simulated; the
-     * cache is re-checked inside the job right before simulating, so
-     * an entry published meanwhile by a concurrent bench is picked
-     * up. A failed cell is reported (tag + error) and the rest of the
-     * matrix continues.
+     * workers. A failed cell is reported (tag + error) and the rest
+     * of the matrix continues.
      */
     MatrixResult run(const ExpOptions &opt) const;
 

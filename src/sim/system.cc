@@ -396,6 +396,14 @@ System::run(Cycle maxCycles)
         if (now_ - start >= maxCycles)
             dx_fatal("simulation exceeded cycle limit");
     }
+    // A drained system must have emptied every redundant index too.
+    for (const auto &c : l1s_)
+        c->auditDrained();
+    for (const auto &c : l2s_)
+        c->auditDrained();
+    llc_->auditDrained();
+    for (unsigned c = 0; c < dram_->channels(); ++c)
+        dram_->channel(c).auditDrained();
 
     sync();
     RunStats s = collectStats();

@@ -105,9 +105,9 @@ struct SystemConfig
 
 /**
  * The RunStats schema, defined exactly once. X(field, type) is expanded
- * to declare the struct fields, the field visitors, serializeStats,
- * parseStats, toString and the JSON emitter — adding a stat is a
- * one-line change here and every producer/consumer picks it up.
+ * to declare the struct fields, the field visitors, setField,
+ * toString and the JSON emitter — adding a stat is a one-line change
+ * here and every producer/consumer picks it up.
  *
  *   cycles                  region-of-interest cycles
  *   instructions            committed, all cores

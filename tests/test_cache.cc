@@ -154,6 +154,26 @@ TEST(Cache, MshrCoalescesConcurrentMissesToOneLine)
     EXPECT_EQ(reads, 1u);
 }
 
+TEST(Cache, DrainAuditFindsIndexesEmpty)
+{
+    // Twelve distinct lines, reads and writes, then drain: the
+    // line -> MSHR index, the free-MSHR bitmap and every controller's
+    // per-bank queue counts must all be back to empty. A leaked index
+    // slot or bank count panics in the audits.
+    Rig rig;
+    for (int i = 0; i < 12; ++i)
+        rig.access(Addr(i) * 4096 + 0x40, i % 3 == 0, i);
+    rig.runUntil(12);
+    while (!(rig.cache.drained() && rig.dram.drained()) &&
+           rig.clock < 100000) {
+        rig.step();
+    }
+    ASSERT_TRUE(rig.cache.drained() && rig.dram.drained());
+    rig.cache.auditDrained();
+    for (unsigned c = 0; c < rig.dram.channels(); ++c)
+        rig.dram.channel(c).auditDrained();
+}
+
 TEST(Cache, LruEvictionAndVictimSelection)
 {
     Cache::Config cfg = Rig::defaultCfg();

@@ -1,16 +1,14 @@
 /**
  * @file
- * Experiment-layer tests: schema-driven RunStats serialization (every
- * field in DX_RUN_STATS_SCHEMA must survive a round trip), the
- * concurrency-safe stats cache, option parsing, and the declarative
- * run matrix — including deterministic parallel-vs-serial equality
- * and failure isolation on the jthread pool.
+ * Experiment-layer tests: the schema-driven RunStats visitors and JSON
+ * emitter (every field in DX_RUN_STATS_SCHEMA must appear), option
+ * parsing, and the declarative run matrix — including deterministic
+ * parallel-vs-serial equality and failure isolation on the jthread
+ * pool.
  */
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,18 +25,6 @@ using namespace dx::wl;
 
 namespace
 {
-
-namespace fs = std::filesystem;
-
-/** Fresh scratch directory under the gtest temp root. */
-fs::path
-scratchDir(const std::string &name)
-{
-    const fs::path p = fs::path(::testing::TempDir()) / name;
-    fs::remove_all(p);
-    fs::create_directories(p);
-    return p;
-}
 
 ExpOptions
 parseArgs(std::vector<std::string> args)
@@ -94,8 +80,7 @@ tinyGather(const std::string &name, std::size_t n)
             [n](Scale) -> std::unique_ptr<Workload> {
                 return std::make_unique<GatherMicro>(
                     GatherMicro::Mode::kFull, n);
-            },
-            /*cacheable=*/false};
+            }};
 }
 
 RunMatrix
@@ -115,16 +100,6 @@ tinyMatrix()
 // Stats schema
 // ---------------------------------------------------------------------
 
-TEST(StatsSchema, EveryFieldSurvivesRoundTrip)
-{
-    const RunStats s = populatedStats();
-    const auto parsed = parseStats(serializeStats(s));
-    ASSERT_TRUE(parsed.has_value());
-    // operator== is generated from the schema: any field that failed
-    // to serialize, parse or assign breaks this single check.
-    EXPECT_TRUE(*parsed == s);
-}
-
 TEST(StatsSchema, FieldCountMatchesVisitor)
 {
     std::size_t visited = 0;
@@ -138,17 +113,6 @@ TEST(StatsSchema, SetFieldRejectsUnknownNames)
     EXPECT_TRUE(s.setField("cycles", 7));
     EXPECT_EQ(s.cycles, 7u);
     EXPECT_FALSE(s.setField("notAStat", 7));
-}
-
-TEST(StatsSchema, ParseRejectsGarbageAndPartialEntries)
-{
-    EXPECT_FALSE(parseStats("garbage").has_value());
-    EXPECT_FALSE(parseStats("").has_value());
-
-    // Dropping any one line makes the entry incomplete -> corrupt.
-    std::string text = serializeStats(populatedStats());
-    text.erase(0, text.find('\n') + 1);
-    EXPECT_FALSE(parseStats(text).has_value());
 }
 
 TEST(StatsSchema, JsonEmitsEveryField)
@@ -180,14 +144,11 @@ TEST(StatsSchema, ToStringNamesEveryField)
 TEST(ExpOptionsParse, AcceptsAllSupportedOptions)
 {
     const ExpOptions opt =
-        parseArgs({"--scale=0.75", "--jobs=3", "--json", "--no-cache",
-                   "--cache-dir=somewhere"});
+        parseArgs({"--scale=0.75", "--jobs=3", "--json"});
     EXPECT_DOUBLE_EQ(opt.scale, 0.75);
     EXPECT_EQ(opt.jobs, 3u);
     EXPECT_EQ(opt.effectiveJobs(), 3u);
     EXPECT_TRUE(opt.json);
-    EXPECT_FALSE(opt.useCache);
-    EXPECT_EQ(opt.cacheDir, "somewhere");
 }
 
 TEST(ExpOptionsParse, NamedScales)
@@ -200,7 +161,6 @@ TEST(ExpOptionsParse, DefaultsAreSane)
 {
     const ExpOptions opt = parseArgs({});
     EXPECT_DOUBLE_EQ(opt.scale, 0.5);
-    EXPECT_TRUE(opt.useCache);
     EXPECT_FALSE(opt.json);
     EXPECT_EQ(opt.jobs, 0u);
     EXPECT_GE(opt.effectiveJobs(), 1u);
@@ -223,76 +183,11 @@ TEST(ExpOptionsParse, MalformedValuesAreFatalNotExceptions)
     EXPECT_THROW(parseArgs({"--jobs=0"}), FatalError);
     EXPECT_THROW(parseArgs({"--jobs=lots"}), FatalError);
     EXPECT_THROW(parseArgs({"--jobs="}), FatalError);
-    EXPECT_THROW(parseArgs({"--cache-dir="}), FatalError);
     EXPECT_THROW(parseArgs({"--frobnicate"}), FatalError);
-}
-
-// ---------------------------------------------------------------------
-// Stats cache
-// ---------------------------------------------------------------------
-
-TEST(StatsCache, StoreThenLoadHits)
-{
-    const fs::path dir = scratchDir("cache_hit");
-    const fs::path p = cachePath(dir.string(), "WL", "cfg", 0.5);
-    EXPECT_FALSE(loadCachedStats(p).has_value());
-
-    const RunStats s = populatedStats();
-    storeCachedStats(p, s);
-    const auto loaded = loadCachedStats(p);
-    ASSERT_TRUE(loaded.has_value());
-    EXPECT_TRUE(*loaded == s);
-}
-
-TEST(StatsCache, CorruptEntryIsAMiss)
-{
-    const fs::path dir = scratchDir("cache_corrupt");
-    const fs::path p = cachePath(dir.string(), "WL", "cfg", 0.5);
-    {
-        std::ofstream out(p);
-        out << "cycles 12\nnot a stats file\n";
-    }
-    EXPECT_FALSE(loadCachedStats(p).has_value());
-
-    // A fresh store repairs the entry.
-    storeCachedStats(p, populatedStats());
-    EXPECT_TRUE(loadCachedStats(p).has_value());
-}
-
-TEST(StatsCache, AtomicWriteLeavesNoTempFiles)
-{
-    const fs::path dir = scratchDir("cache_atomic");
-    storeCachedStats(cachePath(dir.string(), "A", "t", 1.0),
-                     populatedStats());
-    storeCachedStats(cachePath(dir.string(), "B", "t", 1.0),
-                     populatedStats());
-    std::size_t entries = 0;
-    for (const auto &e : fs::directory_iterator(dir)) {
-        EXPECT_EQ(e.path().extension(), ".stats")
-            << "stray file: " << e.path();
-        ++entries;
-    }
-    EXPECT_EQ(entries, 2u);
-}
-
-TEST(StatsCache, CreatesMissingDirectories)
-{
-    const fs::path dir = scratchDir("cache_mkdir") / "a" / "b";
-    const fs::path p = cachePath(dir.string(), "WL", "cfg", 0.5);
-    storeCachedStats(p, populatedStats());
-    EXPECT_TRUE(loadCachedStats(p).has_value());
-}
-
-TEST(StatsCache, KeysSeparateWorkloadConfigAndScale)
-{
-    const std::string d = "dir";
-    const auto base = cachePath(d, "WL", "cfg", 0.5);
-    EXPECT_NE(base, cachePath(d, "WL2", "cfg", 0.5));
-    EXPECT_NE(base, cachePath(d, "WL", "cfg2", 0.5));
-    EXPECT_NE(base, cachePath(d, "WL", "cfg", 0.25));
-    // Entries written before RunStats was versioned (coalescingFactor
-    // then meant the last DX100 instance's ratio) must miss.
-    EXPECT_NE(base.filename(), "WL_cfg_s0.5.stats");
+    // The removed stats-cache options fail loudly, so an old script
+    // that still passes them stops instead of being silently obeyed.
+    EXPECT_THROW(parseArgs({"--no-cache"}), FatalError);
+    EXPECT_THROW(parseArgs({"--cache-dir=x"}), FatalError);
 }
 
 // ---------------------------------------------------------------------
@@ -348,7 +243,6 @@ TEST(ParallelRunner, IsolatesFatalAndExceptionFailures)
 TEST(RunMatrix, ParallelMatchesSerialBitForBit)
 {
     ExpOptions opt;
-    opt.useCache = false;
 
     opt.jobs = 1;
     const MatrixResult serial = tinyMatrix().run(opt);
@@ -371,51 +265,16 @@ TEST(RunMatrix, ParallelMatchesSerialBitForBit)
     EXPECT_EQ(sim::System::liveSystems(), 0u);
 }
 
-TEST(RunMatrix, CacheRoundTripThroughMatrix)
-{
-    const fs::path dir = scratchDir("matrix_cache");
-    ExpOptions opt;
-    opt.useCache = true;
-    opt.cacheDir = dir.string();
-    opt.jobs = 2;
-
-    RunMatrix m("cached_tiny");
-    // cacheable=true so the matrix persists and reuses the cells.
-    m.add({"G1", "micro",
-           [](Scale) -> std::unique_ptr<Workload> {
-               return std::make_unique<GatherMicro>(
-                   GatherMicro::Mode::kFull, 1024);
-           },
-           /*cacheable=*/true});
-    m.addConfig("baseline", SystemConfig::baseline(1));
-    m.addConfig("dx100", SystemConfig::withDx100(1));
-
-    const MatrixResult first = m.run(opt);
-    ASSERT_EQ(first.failures(), 0u);
-    for (const auto &c : first.cells())
-        EXPECT_FALSE(c.result.fromCache);
-
-    const MatrixResult second = m.run(opt);
-    ASSERT_EQ(second.failures(), 0u);
-    for (std::size_t i = 0; i < first.cells().size(); ++i) {
-        EXPECT_TRUE(second.cells()[i].result.fromCache);
-        EXPECT_TRUE(second.cells()[i].result.stats ==
-                    first.cells()[i].result.stats);
-    }
-}
-
 TEST(RunMatrix, FailedCellIsIsolated)
 {
     ExpOptions opt;
-    opt.useCache = false;
     opt.jobs = 2;
 
     RunMatrix m("failure");
     m.add({"failing", "micro",
            [](Scale) -> std::unique_ptr<Workload> {
                return std::make_unique<FailingWorkload>();
-           },
-           /*cacheable=*/false});
+           }});
     m.add(tinyGather("good", 1024));
     m.addConfig("baseline", SystemConfig::baseline(1));
 
@@ -437,7 +296,6 @@ TEST(RunMatrix, LimitProducesSparseGrid)
     m.limit("A", {"c1"});
 
     ExpOptions opt;
-    opt.useCache = false;
     opt.jobs = 2;
     const MatrixResult r = m.run(opt);
     EXPECT_EQ(r.cells().size(), 3u); // A/c1, B/c1, B/c2
@@ -449,7 +307,6 @@ TEST(RunMatrix, LimitProducesSparseGrid)
 TEST(RunMatrix, JsonDumpCoversEveryCell)
 {
     ExpOptions opt;
-    opt.useCache = false;
     opt.jobs = 2;
     const MatrixResult r = tinyMatrix().run(opt);
     const std::string json = r.toJson("tiny", opt);

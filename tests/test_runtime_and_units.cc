@@ -153,27 +153,3 @@ TEST(MultiInstance, TwoInstancesEightCoresCorrect)
     // Both instances were used (cores 0-3 -> 0, 4-7 -> 1).
     EXPECT_GT(sys.dx100(1)->stats().instructionsRetired.value(), 0u);
 }
-
-TEST(StatsSerialization, RoundTrips)
-{
-    RunStats s;
-    s.cycles = 12345;
-    s.instructions = 678;
-    s.bandwidthUtil = 0.731;
-    s.rowBufferHitRate = 0.25;
-    s.requestBufferOccupancy = 0.5;
-    s.dramLines = 999;
-    s.llcMpki = 1.5;
-    s.l2Mpki = 2.5;
-    s.coalescingFactor = 3.5;
-    s.dxInstructions = 42;
-
-    const auto parsed = parseStats(serializeStats(s));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(parsed->cycles, s.cycles);
-    EXPECT_EQ(parsed->instructions, s.instructions);
-    EXPECT_DOUBLE_EQ(parsed->bandwidthUtil, s.bandwidthUtil);
-    EXPECT_EQ(parsed->dxInstructions, s.dxInstructions);
-
-    EXPECT_FALSE(parseStats("garbage").has_value());
-}

@@ -1,29 +1,29 @@
 #!/usr/bin/env bash
 # Perf smoke for the quiescence-aware tick scheduler.
 #
-# Times each figure bench twice — under the naive per-cycle loop
-# (DX_NAIVE_TICK=1) and under the quiescence-aware scheduler — at a
-# tiny scale, keeps the min over DX_PERF_REPS repetitions (single-run
-# wall clock is noisy on shared CI runners), and then:
+# Builds a Release tree in build-perf/ and times fig08bc, fig09 and
+# fig14 twice — under the naive per-cycle loop (DX_NAIVE_TICK=1) and
+# under the quiescence-aware scheduler — at --scale=0.05, keeps the min
+# over 3 repetitions (single-run wall clock is noisy on shared CI
+# runners), and then:
 #
 #   1. fails if the two runs' BENCH_*.json stats differ by a single
 #      bit (the scheduler must be invisible in every figure), and
-#   2. fails if any bench got slower than DX_PERF_MIN_SPEEDUP x.
+#   2. fails if any bench got slower than 1.0x.
 #
 # Artifacts: BENCH_<fig>_naive.json / BENCH_<fig>_sched.json plus a
 # perf_smoke_summary.txt table, all in the repo root.
 #
-# Tunables (env): DX_PERF_BUILD_DIR (build-perf), DX_PERF_SCALE (0.05),
-# DX_PERF_REPS (3), DX_PERF_MIN_SPEEDUP (1.0), DX_PERF_BENCHES.
+# Usage: tools/perf_smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUILD_DIR=${DX_PERF_BUILD_DIR:-build-perf}
-SCALE=${DX_PERF_SCALE:-0.05}
-REPS=${DX_PERF_REPS:-3}
-MIN_SPEEDUP=${DX_PERF_MIN_SPEEDUP:-1.0}
+BUILD_DIR=build-perf
+SCALE=0.05
+REPS=3
+MIN_SPEEDUP=1.0
 # target:jsonName pairs (jsonName is what --json writes as BENCH_<x>.json)
-BENCHES=${DX_PERF_BENCHES:-"fig08bc_microbench_allmiss:fig08bc fig09_speedup:fig09 fig14_scalability:fig14"}
+BENCHES="fig08bc_microbench_allmiss:fig08bc fig09_speedup:fig09 fig14_scalability:fig14"
 
 targets=""
 for b in $BENCHES; do targets="$targets ${b%%:*}"; done
@@ -41,11 +41,9 @@ run_bench() {
     for rep in $(seq "$REPS"); do
         t0=$(now_ms)
         if [ "$mode" = naive ]; then
-            DX_NAIVE_TICK=1 "$bin" --scale="$SCALE" --no-cache --json \
-                > /dev/null
+            DX_NAIVE_TICK=1 "$bin" --scale="$SCALE" --json > /dev/null
         else
-            DX_NAIVE_TICK=0 "$bin" --scale="$SCALE" --no-cache --json \
-                > /dev/null
+            DX_NAIVE_TICK=0 "$bin" --scale="$SCALE" --json > /dev/null
         fi
         t1=$(now_ms)
         dt=$((t1 - t0))

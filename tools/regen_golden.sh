@@ -27,7 +27,7 @@ RUN_DIR=$(mktemp -d)
 trap 'rm -rf "$RUN_DIR"' EXIT
 (cd "$RUN_DIR" &&
     "$BUILD_DIR/bench/fig09_speedup" --jobs=2 --scale=0.05 --json \
-        --no-cache > "$GOLDEN/fig09_stdout.txt" &&
+        > "$GOLDEN/fig09_stdout.txt" &&
     cp BENCH_fig09.json "$GOLDEN/BENCH_fig09.json")
 
 echo
