@@ -105,6 +105,7 @@ Cache::indexErase(Addr line)
         }
     }
     index_[hole].line = kEmptySlot;
+    --indexUsed_;
 }
 
 int
@@ -127,8 +128,12 @@ Cache::mshrLive(unsigned idx) const
 Cache::Mshr &
 Cache::allocMshr(unsigned idx, Addr line)
 {
+    // A leaked slot would fill the table and make every probe spin.
+    dx_assert(indexUsed_ == mshrsInUse_, cfg_.name, ": MSHR index holds ",
+              indexUsed_, " lines for ", mshrsInUse_, " live MSHRs");
     freeMshrs_[idx / 64] &= ~(std::uint64_t{1} << (idx % 64));
     ++mshrsInUse_;
+    ++indexUsed_;
     const unsigned mask = static_cast<unsigned>(index_.size()) - 1;
     unsigned i = indexHome(line);
     while (index_[i].line != kEmptySlot)

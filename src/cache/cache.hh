@@ -249,6 +249,7 @@ class Cache final : public Component,
     std::vector<Mshr> mshrs_;
     std::vector<std::uint64_t> freeMshrs_; //!< bit set = MSHR free
     unsigned mshrsInUse_ = 0; //!< live entries in mshrs_ (O(1) busy())
+    unsigned indexUsed_ = 0;  //!< occupied index_ slots (== mshrsInUse_)
     //! Open-addressed line -> MSHR map, linear probing, at most half
     //! full (power of two >= 2 x mshrs), so probes stay short.
     std::vector<IndexSlot> index_;

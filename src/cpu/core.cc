@@ -28,6 +28,13 @@ isFencingKind(OpKind k)
     return k == OpKind::kRmw || k == OpKind::kFence;
 }
 
+bool
+needsSq(OpKind k)
+{
+    return k == OpKind::kStore || k == OpKind::kRmw ||
+           k == OpKind::kMmioStore;
+}
+
 } // namespace
 
 Core::Core(const Config &cfg, int id, cache::CachePort *l1)
@@ -86,25 +93,12 @@ Core::dispatch()
     refillOpBuffer();
 
     for (unsigned n = 0; n < cfg_.width; ++n) {
-        if (opBuffer_.empty())
-            return;
-        if (robTail_ - robHead_ >= cfg_.robSize) {
-            ++stats_.robStallCycles;
+        if (opBuffer_.empty() ||
+            bookDispatchStall(1) != DispatchStall::kNone) {
             return;
         }
 
         const MicroOp &op = opBuffer_.front();
-        if (op.kind == OpKind::kLoad && lqUsed_ >= cfg_.lqSize) {
-            ++stats_.lqStallCycles;
-            return;
-        }
-        const bool needsSq = op.kind == OpKind::kStore ||
-                             op.kind == OpKind::kRmw ||
-                             op.kind == OpKind::kMmioStore;
-        if (needsSq && sqUsed_ >= cfg_.sqSize) {
-            ++stats_.sqStallCycles;
-            return;
-        }
 
         const SeqNum seq = robTail_;
         dx_assert(seq == bufferHeadSeq_, "seq bookkeeping mismatch");
@@ -117,7 +111,7 @@ Core::dispatch()
 
         if (op.kind == OpKind::kLoad)
             ++lqUsed_;
-        if (needsSq)
+        if (needsSq(op.kind))
             ++sqUsed_;
         if (isFencingKind(op.kind))
             fencing_.push_back(seq);
@@ -402,12 +396,29 @@ Core::dispatchStall() const
     const MicroOp &op = opBuffer_.front();
     if (op.kind == OpKind::kLoad && lqUsed_ >= cfg_.lqSize)
         return DispatchStall::kLq;
-    const bool needsSq = op.kind == OpKind::kStore ||
-                         op.kind == OpKind::kRmw ||
-                         op.kind == OpKind::kMmioStore;
-    if (needsSq && sqUsed_ >= cfg_.sqSize)
+    if (needsSq(op.kind) && sqUsed_ >= cfg_.sqSize)
         return DispatchStall::kSq;
     return DispatchStall::kNone;
+}
+
+Core::DispatchStall
+Core::bookDispatchStall(Cycle n)
+{
+    const DispatchStall stall = dispatchStall();
+    switch (stall) {
+      case DispatchStall::kRob:
+        stats_.robStallCycles += n;
+        break;
+      case DispatchStall::kLq:
+        stats_.lqStallCycles += n;
+        break;
+      case DispatchStall::kSq:
+        stats_.sqStallCycles += n;
+        break;
+      case DispatchStall::kNone:
+        break;
+    }
+    return stall;
 }
 
 Cycle
@@ -484,19 +495,7 @@ Core::skipCycles(Cycle n)
             stats_.waitCycles += n;
         }
     }
-    switch (dispatchStall()) {
-      case DispatchStall::kRob:
-        stats_.robStallCycles += n;
-        break;
-      case DispatchStall::kLq:
-        stats_.lqStallCycles += n;
-        break;
-      case DispatchStall::kSq:
-        stats_.sqStallCycles += n;
-        break;
-      case DispatchStall::kNone:
-        break;
-    }
+    bookDispatchStall(n);
 }
 
 bool

@@ -148,8 +148,8 @@ class Core final : public Component,
     /**
      * Why dispatch() would stall on the front-end head this cycle
      * (kNone = it would dispatch, or the buffer is empty). Shared by
-     * nextEventAt() and skipCycles() so the skipped stall counters match
-     * the naive loop's bit-for-bit.
+     * dispatch(), nextEventAt() and skipCycles() so the skipped stall
+     * counters match the naive loop's bit-for-bit.
      */
     enum class DispatchStall : std::uint8_t
     {
@@ -159,6 +159,8 @@ class Core final : public Component,
         kSq,
     };
     DispatchStall dispatchStall() const;
+    /** dispatchStall(), booked on its counter for @p n cycles. */
+    DispatchStall bookDispatchStall(Cycle n);
 
     RobEntry &entry(SeqNum seq);
     const RobEntry &entry(SeqNum seq) const;

@@ -138,6 +138,19 @@ Dx100::unitFor(Opcode op)
     dx_panic("bad opcode");
 }
 
+bool
+Dx100::writesRegion(Opcode op)
+{
+    return op == Opcode::kIst || op == Opcode::kIrmw || op == Opcode::kSst;
+}
+
+bool
+Dx100::anyBusy() const
+{
+    return std::any_of(active_.begin(), active_.end(),
+                       [](const Active &a) { return a.valid; });
+}
+
 std::uint64_t
 Dx100::tileMaskDest(const Instruction &i) const
 {
@@ -179,19 +192,12 @@ Dx100::tryDispatch()
     if (inputQueue_.empty())
         return;
 
-    // Collect hazard masks of everything already executing.
-    std::uint64_t activeDest = 0;
+    // Collect the tiles everything already executing touches.
     std::uint64_t activeAny = 0;
-    auto addActive = [&](const Active &a) {
-        if (!a.valid)
-            return;
-        activeDest |= a.destMask;
-        activeAny |= a.destMask | a.srcMask;
-    };
-    addActive(stream_.active);
-    addActive(indirect_.active);
-    addActive(alu_.active);
-    addActive(range_.active);
+    for (const Active &a : active_) {
+        if (a.valid)
+            activeAny |= a.destMask | a.srcMask;
+    }
 
     // Out-of-order dispatch within a bounded window, preserving
     // dependences against both executing and older queued instructions.
@@ -204,12 +210,7 @@ Dx100::tryDispatch()
         const std::uint64_t dest = tileMaskDest(p.instr);
         const std::uint64_t src = tileMaskSrc(p.instr);
         const UnitKind unit = unitFor(p.instr.op);
-
-        const bool unitFree =
-            (unit == UnitKind::kStream && !stream_.busy) ||
-            (unit == UnitKind::kIndirect && !indirect_.busy) ||
-            (unit == UnitKind::kAlu && !alu_.busy) ||
-            (unit == UnitKind::kRange && !range_.busy);
+        const bool unitFree = !active_[unit].valid;
 
         // WAW/WAR against anything in flight or older in the queue
         // still blocks; RAW against an *executing* producer is allowed
@@ -220,10 +221,7 @@ Dx100::tryDispatch()
 
         // Cross-instance region coherence: stores/RMWs need write
         // ownership of their target region (§6.6).
-        const bool needsRegion =
-            regionDir_ && (p.instr.op == Opcode::kIst ||
-                           p.instr.op == Opcode::kIrmw ||
-                           p.instr.op == Opcode::kSst);
+        const bool needsRegion = regionDir_ && writesRegion(p.instr.op);
         if (unitFree && !hazard && needsRegion &&
             !regionDir_->tryAcquireWrite(instanceId_, p.instr.base,
                                          now_)) {
@@ -254,55 +252,41 @@ Dx100::dispatchTo(UnitKind unit, ExecPayload &&payload)
     a.srcMask = tileMaskSrc(payload.instr);
     a.payload = std::move(payload);
 
-    // Capture the finish-bit progress of still-executing producers of
-    // our source tiles, then publish fresh progress for our dests.
-    for (unsigned t = 0; t < cfg_.numTiles; ++t) {
-        const std::uint64_t bit = std::uint64_t{1} << t;
-        if ((a.srcMask & bit) && tileProgress_[t] &&
-            tileProgress_[t]->prefix < tileProgress_[t]->total) {
-            a.srcGates.push_back(tileProgress_[t]);
-        }
-    }
     if (a.destMask) {
         a.progress = std::make_shared<Progress>();
         a.progress->total = a.payload.outCount;
-        for (unsigned t = 0; t < cfg_.numTiles; ++t) {
-            if (a.destMask & (std::uint64_t{1} << t))
-                tileProgress_[t] = a.progress;
-        }
     }
 
-    // Ready bits drop for every tile the instruction touches, and any
-    // cached SPD lines of those tiles are invalidated (§3.6).
+    // Per touched tile: capture the finish-bit progress of a
+    // still-executing producer of a source before publishing our own
+    // progress for a dest; then drop the ready bit and invalidate any
+    // cached SPD lines of the tile (§3.6).
     for (unsigned t = 0; t < cfg_.numTiles; ++t) {
-        if ((a.destMask | a.srcMask) & (std::uint64_t{1} << t)) {
-            tileReady_[t] = false;
-            invalidateTileLines(t);
-        }
+        const std::uint64_t bit = std::uint64_t{1} << t;
+        if (!((a.destMask | a.srcMask) & bit))
+            continue;
+        const ProgressPtr &last = tileProgress_[t];
+        if ((a.srcMask & bit) && last && last->prefix < last->total)
+            a.srcGates.push_back(last);
+        if (a.destMask & bit)
+            tileProgress_[t] = a.progress;
+        tileReady_[t] = false;
+        invalidateTileLines(t);
     }
 
+    active_[unit] = std::move(a);
     switch (unit) {
       case UnitKind::kStream:
-        stream_.busy = true;
-        stream_.active = std::move(a);
         streamStart(stream_);
         break;
       case UnitKind::kIndirect:
-        indirect_.busy = true;
-        indirect_.active = std::move(a);
         indirectStart(indirect_);
         break;
       case UnitKind::kAlu:
-        alu_.busy = true;
-        alu_.active = std::move(a);
-        alu_.processed = 0;
-        alu_.rate = cfg_.aluLanes;
+        aluProcessed_ = 0;
         break;
       case UnitKind::kRange:
-        range_.busy = true;
-        range_.active = std::move(a);
-        range_.processed = 0;
-        range_.rate = cfg_.rangeRate;
+        rangeProcessed_ = 0;
         break;
     }
 }
@@ -310,42 +294,20 @@ Dx100::dispatchTo(UnitKind unit, ExecPayload &&payload)
 void
 Dx100::retire(UnitKind unit)
 {
-    Active *a = nullptr;
-    switch (unit) {
-      case UnitKind::kStream:
-        a = &stream_.active;
-        stream_.busy = false;
-        break;
-      case UnitKind::kIndirect:
-        a = &indirect_.active;
-        indirect_.busy = false;
-        break;
-      case UnitKind::kAlu:
-        a = &alu_.active;
-        alu_.busy = false;
-        break;
-      case UnitKind::kRange:
-        a = &range_.active;
-        range_.busy = false;
-        break;
-    }
-
-    if (a->progress)
-        a->progress->prefix = a->progress->total;
-    a->srcGates.clear();
+    Active &a = active_[unit];
+    if (a.progress)
+        a.progress->prefix = a.progress->total;
+    a.srcGates.clear();
     for (unsigned t = 0; t < cfg_.numTiles; ++t) {
-        if ((a->destMask | a->srcMask) & (std::uint64_t{1} << t))
+        if ((a.destMask | a.srcMask) & (std::uint64_t{1} << t))
             tileReady_[t] = true;
     }
-    if (regionDir_ && (a->payload.instr.op == Opcode::kIst ||
-                       a->payload.instr.op == Opcode::kIrmw ||
-                       a->payload.instr.op == Opcode::kSst)) {
-        regionDir_->releaseWrite(instanceId_, a->payload.instr.base);
-    }
-    retired_[a->payload.id] = true;
+    if (regionDir_ && writesRegion(a.payload.instr.op))
+        regionDir_->releaseWrite(instanceId_, a.payload.instr.base);
+    retired_[a.payload.id] = true;
     ++stats_.instructionsRetired;
-    ++stats_.byOpcode[static_cast<unsigned>(a->payload.instr.op)];
-    a->valid = false;
+    ++stats_.byOpcode[static_cast<unsigned>(a.payload.instr.op)];
+    a.valid = false;
 }
 
 void
@@ -376,24 +338,25 @@ Dx100::StreamSink::complete(const std::uint64_t &tag)
     dx_assert(u.outstanding > 0, "stray stream response");
     --u.outstanding;
     ++u.linesDone;
-    if (u.active.progress && !u.lines.empty()) {
+    const ProgressPtr &progress = owner->active_[kStream].progress;
+    if (progress && !u.lines.empty()) {
         // Responses return roughly in order: publish a linear prefix.
-        u.active.progress->prefix = static_cast<std::uint32_t>(
-            static_cast<std::uint64_t>(u.active.progress->total) *
-            u.linesDone / u.lines.size());
+        progress->prefix = static_cast<std::uint32_t>(
+            static_cast<std::uint64_t>(progress->total) * u.linesDone /
+            u.lines.size());
     }
 }
 
 void
 Dx100::streamStart(StreamUnit &u)
 {
-    const ExecPayload &p = u.active.payload;
+    const ExecPayload &p = active_[kStream].payload;
     const StreamScalars s = unpackStream(p.instr.imm);
     const unsigned bytes = p.instr.elemBytes();
+    dx_assert(u.outstanding == 0, "stream lines outlived their instruction");
     u.isStore = p.instr.op == Opcode::kSst;
     u.lines.clear();
     u.issuePos = 0;
-    u.outstanding = 0;
     u.linesDone = 0;
 
     Addr prevLine = ~Addr{0};
@@ -414,19 +377,20 @@ Dx100::streamStart(StreamUnit &u)
 void
 Dx100::streamTick(StreamUnit &u)
 {
-    if (!u.busy)
+    const Active &a = active_[kStream];
+    if (!a.valid)
         return;
 
     // Gate on still-executing producers of the data/condition tiles
     // (finish bits): a store may only stream out elements that exist.
     std::size_t allowedLines = u.lines.size();
-    const std::uint32_t limit = gateLimit(u.active);
-    if (limit != ~std::uint32_t{0} && u.active.payload.count > 0) {
+    const std::uint32_t limit = gateLimit(a);
+    if (limit != ~std::uint32_t{0} && a.payload.count > 0) {
         allowedLines = std::min<std::size_t>(
             allowedLines, static_cast<std::size_t>(
                               static_cast<std::uint64_t>(
                                   u.lines.size()) *
-                              limit / u.active.payload.count));
+                              limit / a.payload.count));
     }
 
     // Issue up to two line requests per cycle through the LLC.
@@ -487,7 +451,10 @@ Dx100::complete(const mem::MemRequest &req)
 void
 Dx100::indirectStart(IndirectUnit &u)
 {
-    const ExecPayload &p = u.active.payload;
+    const ExecPayload &p = active_[kIndirect].payload;
+    dx_assert(u.responses.empty() && u.pendingWrites.empty() &&
+                  u.outstandingReads == 0,
+              "indirect traffic outlived its instruction");
     u.n = p.count;
     u.fillPos = 0;
     u.fillBlocked = false;
@@ -495,9 +462,6 @@ Dx100::indirectStart(IndirectUnit &u)
     u.wordsDone = 0;
     u.skippedAtFill = 0;
     u.lineOfHandle.clear();
-    u.responses.clear();
-    u.pendingWrites.clear();
-    u.outstandingReads = 0;
     u.needsWriteback = p.instr.op != Opcode::kIld;
     tables_.reset(u.n);
 }
@@ -519,7 +483,8 @@ Dx100::indirectFill(IndirectUnit &u)
     }
     u.fillBlocked = false;
 
-    const ExecPayload &p = u.active.payload;
+    const Active &a = active_[kIndirect];
+    const ExecPayload &p = a.payload;
     const unsigned bytes = p.instr.elemBytes();
     const mem::AddressMap &map = dram_.addressMap();
     const mem::DramGeometry &geom = dram_.geometry();
@@ -529,7 +494,7 @@ Dx100::indirectFill(IndirectUnit &u)
     // request stage keeps draining so the fill latency hides behind
     // the index load instead of serializing after it.
     const std::uint32_t fillLimit =
-        std::min<std::uint32_t>(u.n, gateLimit(u.active));
+        std::min<std::uint32_t>(u.n, gateLimit(a));
 
     // Condition-false iterations are skipped by a cheap pre-scan of
     // the condition tile (§3.2: the controller reads SPD[TC][i] and
@@ -577,8 +542,7 @@ Dx100::indirectFill(IndirectUnit &u)
                 u.lineOfHandle.resize(h + 1);
             u.lineOfHandle[h] = line;
             // Snoop the coherence directory for the H bit.
-            tables_.setCacheHit(h, llcPort_ && agent_.hasHierarchy() &&
-                                       agent_.isCached(line));
+            tables_.setCacheHit(h, llcPort_ && agent_.isCached(line));
             ++stats_.indirectColumns;
         }
         ++stats_.indirectWords;
@@ -654,12 +618,13 @@ Dx100::indirectResponses(IndirectUnit &u)
         const unsigned words = tables_.completeColumn(
             handle, [&](std::uint32_t, std::uint16_t) {});
         u.wordsDone += words;
-        if (u.active.progress && u.n > 0) {
+        const ProgressPtr &progress = active_[kIndirect].progress;
+        if (progress && u.n > 0) {
             // Columns complete out of order; the in-order finish-bit
             // prefix grows roughly quadratically in the done fraction.
             const std::uint64_t done = u.wordsDone + u.skippedAtFill;
-            u.active.progress->prefix = static_cast<std::uint32_t>(
-                done * done / u.n);
+            progress->prefix = static_cast<std::uint32_t>(done * done /
+                                                          u.n);
         }
         if (u.needsWriteback) {
             u.pendingWrites.push_back(
@@ -696,7 +661,7 @@ Dx100::indirectWrites(IndirectUnit &u)
 void
 Dx100::indirectTick(IndirectUnit &u)
 {
-    if (!u.busy)
+    if (!active_[kIndirect].valid)
         return;
     indirectResponses(u);
     indirectWrites(u);
@@ -705,27 +670,32 @@ Dx100::indirectTick(IndirectUnit &u)
     indirectRequests(u);
     if (u.fillPos < u.n)
         indirectFill(u);
-    if (indirectDone(u))
+    if (indirectDone(u)) {
+        tables_.auditDrained();
         retire(UnitKind::kIndirect);
+    }
 }
 
 void
-Dx100::timedTick(TimedUnit &u, UnitKind kind)
+Dx100::timedTick(UnitKind kind, std::uint64_t &processed)
 {
-    if (!u.busy)
+    const Active &a = active_[kind];
+    if (!a.valid)
         return;
-    const std::uint32_t count = u.active.payload.count;
+    const std::uint64_t rate =
+        kind == UnitKind::kAlu ? cfg_.aluLanes : cfg_.rangeRate;
+    const std::uint32_t count = a.payload.count;
     const std::uint32_t limit =
-        std::min<std::uint32_t>(count, gateLimit(u.active));
-    u.processed = std::min<std::uint64_t>(u.processed + u.rate, limit);
+        std::min<std::uint32_t>(count, gateLimit(a));
+    processed = std::min<std::uint64_t>(processed + rate, limit);
 
-    if (u.active.progress && count > 0) {
+    if (a.progress && count > 0) {
         // In-order lanes: published output prefix tracks consumed
         // input linearly (RNG expands count -> outCount).
-        u.active.progress->prefix = static_cast<std::uint32_t>(
-            u.processed * u.active.progress->total / count);
+        a.progress->prefix = static_cast<std::uint32_t>(
+            processed * a.progress->total / count);
     }
-    if (u.processed >= count)
+    if (processed >= count)
         retire(kind);
 }
 
@@ -803,8 +773,8 @@ Dx100::tick()
     streamTick(stream_);
     indirectTick(indirect_);
 
-    timedTick(alu_, UnitKind::kAlu);
-    timedTick(range_, UnitKind::kRange);
+    timedTick(UnitKind::kAlu, aluProcessed_);
+    timedTick(UnitKind::kRange, rangeProcessed_);
 
     tryDispatch();
 }
@@ -812,20 +782,22 @@ Dx100::tick()
 std::string
 Dx100::debugDump() const
 {
+    auto state = [this](UnitKind k) {
+        return active_[k].valid ? "busy" : "idle";
+    };
     std::ostringstream os;
     os << "dx100: inputQ=" << inputQueue_.size()
-       << " stream=" << (stream_.busy ? "busy" : "idle")
+       << " stream=" << state(kStream)
        << "(issue=" << stream_.issuePos << "/" << stream_.lines.size()
        << " out=" << stream_.outstanding << ")"
-       << " indirect=" << (indirect_.busy ? "busy" : "idle")
+       << " indirect=" << state(kIndirect)
        << "(fill=" << indirect_.fillPos << "/" << indirect_.n
        << (indirect_.fillBlocked ? " blocked" : "")
        << " resp=" << indirect_.responses.size()
        << " wr=" << indirect_.pendingWrites.size()
        << " outRd=" << indirect_.outstandingReads
        << " drained=" << tables_.drained() << ")"
-       << " alu=" << (alu_.busy ? "busy" : "idle")
-       << " rng=" << (range_.busy ? "busy" : "idle")
+       << " alu=" << state(kAlu) << " rng=" << state(kRange)
        << " spdQ=" << spdPort_.queue.size();
     return os.str();
 }
@@ -833,10 +805,8 @@ Dx100::debugDump() const
 Cycle
 Dx100::nextEventAt() const
 {
-    if (stream_.busy || indirect_.busy || alu_.busy || range_.busy ||
-        !inputQueue_.empty()) {
+    if (anyBusy() || !inputQueue_.empty())
         return now_ + 1;
-    }
     // A scratchpad head already due reads as "tick me" too.
     return spdPort_.queue.empty() ? kNeverCycle
                                   : spdPort_.queue.front().first;
@@ -845,15 +815,25 @@ Dx100::nextEventAt() const
 bool
 Dx100::drained() const
 {
-    if (!inputQueue_.empty() || stream_.busy || indirect_.busy ||
-        alu_.busy || range_.busy || !spdPort_.queue.empty()) {
+    if (!inputQueue_.empty() || anyBusy() || !spdPort_.queue.empty())
         return false;
-    }
     for (const auto &sb : sideband_) {
         if (!sb.empty())
             return false;
     }
     return true;
+}
+
+void
+Dx100::auditDrained() const
+{
+    for (unsigned t = 0; t < cfg_.numTiles; ++t)
+        dx_assert(tileReady_[t], path(), ": tile ", t, " not ready at drain");
+    for (std::size_t id = 0; id < retired_.size(); ++id) {
+        dx_assert(retired_[id], path(), ": instruction ", id,
+                  " never retired");
+    }
+    tables_.auditDrained();
 }
 
 void
@@ -869,6 +849,12 @@ Dx100::registerStats(StatRegistry &reg) const
     g.counter("invalidations", stats_.invalidations);
     g.counter("fillStallCycles", stats_.fillStallCycles);
     g.counter("dispatchStalls", stats_.dispatchStalls);
+
+    StatRegistry::Group tlb = g.sub("tlb");
+    tlb.value("hits", std::function<std::uint64_t()>(
+                          [this] { return tlb_.hits(); }));
+    tlb.value("misses", std::function<std::uint64_t()>(
+                            [this] { return tlb_.misses(); }));
 
     // The Row/Word Table reordering metrics (§3.4): words gathered,
     // unique DRAM columns touched, and their ratio — the paper's

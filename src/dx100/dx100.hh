@@ -73,8 +73,6 @@ class CoherencyAgent
         return n;
     }
 
-    bool hasHierarchy() const { return llc_ != nullptr; }
-
   private:
     SnoopPort *llc_ = nullptr;
     std::vector<SnoopPort *> caches_;
@@ -145,6 +143,13 @@ class Dx100 final : public Component,
     /** Nothing queued, executing or awaiting the scratchpad port. */
     bool drained() const;
 
+    /**
+     * Panic unless a drained unit left nothing behind: every tile
+     * ready, every registered instruction retired, the Row Table
+     * empty. Run once per System::run, never per cycle.
+     */
+    void auditDrained() const;
+
     // Component introspection.
     void registerStats(StatRegistry &reg) const override;
 
@@ -173,7 +178,6 @@ class Dx100 final : public Component,
 
     const Stats &stats() const { return stats_; }
     const Dx100Config &config() const { return cfg_; }
-    Tlb &tlb() { return tlb_; }
 
     /** Render unit/queue state for debugging. */
     std::string debugDump() const;
@@ -197,6 +201,7 @@ class Dx100 final : public Component,
     };
     using ProgressPtr = std::shared_ptr<Progress>;
 
+    /** The instruction a functional unit executes; valid = busy. */
     struct Active
     {
         bool valid = false;
@@ -210,7 +215,8 @@ class Dx100 final : public Component,
     /** Elements of its sources this instruction may consume so far. */
     static std::uint32_t gateLimit(const Active &a);
 
-    enum class UnitKind
+    /** The four functional units (§3); indexes active_. */
+    enum UnitKind : unsigned
     {
         kStream,
         kIndirect,
@@ -219,6 +225,9 @@ class Dx100 final : public Component,
     };
 
     static UnitKind unitFor(Opcode op);
+    /** Stores and RMWs, which need write ownership of their region. */
+    static bool writesRegion(Opcode op);
+    bool anyBusy() const;
     std::uint64_t tileMaskDest(const Instruction &i) const;
     std::uint64_t tileMaskSrc(const Instruction &i) const;
 
@@ -237,8 +246,6 @@ class Dx100 final : public Component,
 
     struct StreamUnit
     {
-        bool busy = false;
-        Active active;
         std::vector<Addr> lines;
         std::size_t issuePos = 0;
         unsigned outstanding = 0;
@@ -259,8 +266,6 @@ class Dx100 final : public Component,
 
     struct IndirectUnit
     {
-        bool busy = false;
-        Active active;
         std::uint32_t n = 0;
         std::uint32_t fillPos = 0;
         bool fillBlocked = false;
@@ -283,16 +288,6 @@ class Dx100 final : public Component,
     void indirectResponses(IndirectUnit &u);
     void indirectWrites(IndirectUnit &u);
     bool indirectDone(const IndirectUnit &u) const;
-
-    // ---- fixed-throughput units ------------------------------------------
-
-    struct TimedUnit
-    {
-        bool busy = false;
-        Active active;
-        std::uint64_t processed = 0; //!< input elements consumed
-        std::uint64_t rate = 1;      //!< elements per cycle
-    };
 
     // ---- scratchpad port -------------------------------------------------
 
@@ -336,12 +331,15 @@ class Dx100 final : public Component,
     std::vector<bool> retired_;
     std::uint64_t nextId_ = 1;
 
-    void timedTick(TimedUnit &u, UnitKind kind);
+    // ---- fixed-throughput units (ALU, Range Fuser) ------------------------
 
+    void timedTick(UnitKind kind, std::uint64_t &processed);
+
+    std::array<Active, 4> active_; //!< indexed by UnitKind
     StreamUnit stream_;
     IndirectUnit indirect_;
-    TimedUnit alu_;
-    TimedUnit range_;
+    std::uint64_t aluProcessed_ = 0;   //!< input elements consumed
+    std::uint64_t rangeProcessed_ = 0; //!< input elements consumed
     IndirectTables tables_;
 
     StreamSink streamSink_;

@@ -41,8 +41,6 @@ class RegionDirectory
     {
         Entry &e = entries_[region];
         if (e.owner == instance) {
-            if (now < e.readyAt)
-                return false;
             ++e.inFlight;
             return true;
         }
@@ -61,7 +59,6 @@ class RegionDirectory
         }
         e.owner = instance;
         e.pendingOwner = -1;
-        e.readyAt = 0;
         ++e.inFlight;
         return true;
     }
@@ -83,7 +80,6 @@ class RegionDirectory
         int owner = -1;
         int pendingOwner = -1;
         Cycle transferDone = 0;
-        Cycle readyAt = 0;
         unsigned inFlight = 0;
     };
 

@@ -21,8 +21,6 @@ IndirectTables::reset(std::uint32_t elems)
     freeRows_.clear();
     cols_.clear();
     words_.assign(elems, WordEntry{});
-    orderCounter_ = 0;
-    colsAllocated_ = 0;
     liveRows_ = 0;
 }
 
@@ -39,7 +37,7 @@ IndirectTables::insert(unsigned slice, std::uint32_t row,
     Row *target = nullptr;
     for (std::uint32_t rowIdx : s.rows) {
         Row &r = rows_[rowIdx];
-        if (!r.live || r.sentAll || r.row != row)
+        if (r.sentAll || r.row != row)
             continue;
         // SRAM lookup: unsent entry with this column address?
         for (ColHandle h : r.cols) {
@@ -59,8 +57,14 @@ IndirectTables::insert(unsigned slice, std::uint32_t row,
     }
 
     if (!target) {
-        if (s.rows.size() >= cfg_.rowsPerSlice)
+        if (s.rows.size() >= cfg_.rowsPerSlice) {
+            // Every row in the FIFO has a column left to finish, or a
+            // full slice could never drain.
+            const Row &oldest = rows_[s.rows.front()];
+            dx_assert(oldest.colsDone < oldest.cols.size(), "Row Table ",
+                      "slice ", slice, " is full of finished rows");
             return InsertResult::kSliceFull;
+        }
         std::uint32_t rowIdx;
         if (!freeRows_.empty()) {
             rowIdx = freeRows_.back();
@@ -71,10 +75,8 @@ IndirectTables::insert(unsigned slice, std::uint32_t row,
         }
         Row &r = rows_[rowIdx];
         r = Row{};
-        r.live = true;
         r.slice = slice;
         r.row = row;
-        r.order = ++orderCounter_;
         s.rows.push_back(rowIdx);
         ++liveRows_;
         target = &r;
@@ -90,7 +92,6 @@ IndirectTables::insert(unsigned slice, std::uint32_t row,
     c.tail = static_cast<std::int32_t>(iter);
     cols_.push_back(c);
     target->cols.push_back(h);
-    ++colsAllocated_;
     return InsertResult::kNewColumn;
 }
 
@@ -107,8 +108,6 @@ IndirectTables::nextRequest(unsigned slice)
     // Oldest live row first (FIFO order of s.rows).
     for (std::uint32_t rowIdx : s.rows) {
         Row &r = rows_[rowIdx];
-        if (!r.live)
-            continue;
         for (ColHandle h : r.cols) {
             Col &c = cols_[h];
             if (c.sent || c.done)
@@ -146,32 +145,6 @@ IndirectTables::unsend(const Request &req)
     rows_[c.rowIdx].sentAll = false;
 }
 
-bool
-IndirectTables::hasUnsent(unsigned slice) const
-{
-    const Slice &s = slices_[slice];
-    for (std::uint32_t rowIdx : s.rows) {
-        const Row &r = rows_[rowIdx];
-        if (!r.live)
-            continue;
-        for (ColHandle h : r.cols) {
-            if (!cols_[h].sent && !cols_[h].done)
-                return true;
-        }
-    }
-    return false;
-}
-
-bool
-IndirectTables::anyUnsent() const
-{
-    for (unsigned s = 0; s < slices_.size(); ++s) {
-        if (hasUnsent(s))
-            return true;
-    }
-    return false;
-}
-
 unsigned
 IndirectTables::wordsInColumn(ColHandle h) const
 {
@@ -186,12 +159,22 @@ IndirectTables::wordsInColumn(ColHandle h) const
 unsigned
 IndirectTables::rowsLive(unsigned slice) const
 {
-    unsigned n = 0;
-    for (std::uint32_t rowIdx : slices_[slice].rows) {
-        if (rows_[rowIdx].live)
-            ++n;
+    return static_cast<unsigned>(slices_[slice].rows.size());
+}
+
+void
+IndirectTables::auditDrained() const
+{
+    for (unsigned s = 0; s < slices_.size(); ++s) {
+        dx_assert(slices_[s].rows.empty(), "Row Table slice ", s,
+                  " still holds ", slices_[s].rows.size(),
+                  " rows after its instruction");
     }
-    return n;
+    dx_assert(freeRows_.size() == rows_.size(), "Row Table: ",
+              rows_.size() - freeRows_.size(),
+              " rows missing from the free list after their instruction");
+    for (ColHandle h = 0; h < cols_.size(); ++h)
+        dx_assert(cols_[h].done, "Row Table column ", h, " never completed");
 }
 
 void
@@ -201,27 +184,14 @@ IndirectTables::releaseColumn(ColHandle h)
     dx_assert(c.sent && !c.done, "completing an idle column");
     c.done = true;
     Row &r = rows_[c.rowIdx];
-    ++r.colsDone;
-    maybeReleaseRow(c.rowIdx);
-}
-
-void
-IndirectTables::maybeReleaseRow(std::uint32_t rowIdx)
-{
-    Row &r = rows_[rowIdx];
-    if (!r.live || r.colsDone < r.cols.size())
+    // Each column completes once, so a full count means every
+    // allocated column is done: release the BCAM entry.
+    if (++r.colsDone < r.cols.size())
         return;
-    // All allocated columns are done; if nothing further can be added
-    // (row closed) or everything sent, release the BCAM entry.
-    for (ColHandle h : r.cols) {
-        if (!cols_[h].done)
-            return;
-    }
-    r.live = false;
     --liveRows_;
     Slice &s = slices_[r.slice];
-    s.rows.erase(std::find(s.rows.begin(), s.rows.end(), rowIdx));
-    freeRows_.push_back(rowIdx);
+    s.rows.erase(std::find(s.rows.begin(), s.rows.end(), c.rowIdx));
+    freeRows_.push_back(c.rowIdx);
 }
 
 } // namespace dx::dx100

@@ -82,12 +82,6 @@ class IndirectTables
     /** Revert a nextRequest() (downstream refused the request). */
     void unsend(const Request &req);
 
-    /** Any unsent column in this slice? */
-    bool hasUnsent(unsigned slice) const;
-
-    /** Any unsent column anywhere? */
-    bool anyUnsent() const;
-
     /**
      * Response stage: walk the word chain of a completed column,
      * invoking fn(iter, wordOff) per coalesced word, then release the
@@ -116,8 +110,15 @@ class IndirectTables
     /** All rows drained and completed? */
     bool drained() const { return liveRows_ == 0; }
 
+    /**
+     * Panic unless nothing outlived the execution: every slice FIFO
+     * empty, every row on the free list, every column done. O(rows +
+     * columns), so run once per instruction, never per cycle.
+     */
+    void auditDrained() const;
+
     /** Columns allocated in this execution (for coalescing stats). */
-    std::uint64_t columnsAllocated() const { return colsAllocated_; }
+    std::uint64_t columnsAllocated() const { return cols_.size(); }
 
     /** Occupied row entries in a slice (test/telemetry hook). */
     unsigned rowsLive(unsigned slice) const;
@@ -133,13 +134,12 @@ class IndirectTables
         std::uint32_t rowIdx = 0; //!< owning row (index into rows_)
     };
 
+    /** A BCAM entry; live exactly while it sits in its slice FIFO. */
     struct Row
     {
-        bool live = false;
         unsigned slice = 0;
         std::uint32_t row = 0;
         bool sentAll = false; //!< BCAM S bit: no longer fill-matchable
-        std::uint64_t order = 0;
         std::vector<ColHandle> cols;
         unsigned colsDone = 0;
     };
@@ -156,7 +156,6 @@ class IndirectTables
     };
 
     void releaseColumn(ColHandle h);
-    void maybeReleaseRow(std::uint32_t rowIdx);
 
     Config cfg_;
     std::vector<Slice> slices_;
@@ -164,8 +163,6 @@ class IndirectTables
     std::vector<std::uint32_t> freeRows_;
     std::vector<Col> cols_;   //!< per-execution arena
     std::vector<WordEntry> words_;
-    std::uint64_t orderCounter_ = 0;
-    std::uint64_t colsAllocated_ = 0;
     unsigned liveRows_ = 0;
 };
 

@@ -54,12 +54,6 @@ MemoryController::canAccept(bool write) const
                  : readQueue_.size() < cfg_.readQueueSize;
 }
 
-unsigned
-MemoryController::readSlotsFree() const
-{
-    return cfg_.readQueueSize - static_cast<unsigned>(readQueue_.size());
-}
-
 void
 MemoryController::enqueue(const MemRequest &req)
 {

@@ -98,9 +98,6 @@ class MemoryController final : public Component
     /** True if a request of the given type can be enqueued right now. */
     bool canAccept(bool write) const;
 
-    /** Free read-buffer slots (used by DX100's request generator). */
-    unsigned readSlotsFree() const;
-
     /** Enqueue a request; canAccept(write) must be true. */
     void enqueue(const MemRequest &req);
 

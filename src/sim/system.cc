@@ -402,6 +402,8 @@ System::run(Cycle maxCycles)
     for (const auto &c : l2s_)
         c->auditDrained();
     llc_->auditDrained();
+    for (const auto &d : dxs_)
+        d->auditDrained();
     for (unsigned c = 0; c < dram_->channels(); ++c)
         dram_->channel(c).auditDrained();
 

@@ -315,7 +315,8 @@ TEST(ComponentTree, StatPathsUniqueAndComplete)
           "system.core1.l1d.demandMisses", "system.core0.l2.writebacks",
           "system.llc.demandAccesses", "system.dx100.rowtable.hits",
           "system.dx100.rowtable.coalescingFactor",
-          "system.dx100.opcode.ild", "system.dram.busUtilization",
+          "system.dx100.opcode.ild", "system.dx100.tlb.hits",
+          "system.dx100.tlb.misses", "system.dram.busUtilization",
           "system.dram.ch0.rowHits", "system.dram.ch1.refCommands"}) {
         EXPECT_TRUE(sys.statRegistry().has(expected))
             << "missing stat path " << expected;

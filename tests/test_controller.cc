@@ -274,7 +274,7 @@ TEST(Controller, BackpressureReportsQueueFull)
     // Next request to channel 0 must be refused.
     Addr a = 0;
     EXPECT_FALSE(dram.canAccept(a, false));
-    EXPECT_EQ(dram.channel(0).readSlotsFree(), 0u);
+    EXPECT_FALSE(dram.channel(0).canAccept(false));
 }
 
 TEST(Controller, StreamingReachesHighBusUtilization)
