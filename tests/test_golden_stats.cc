@@ -1,7 +1,8 @@
 /**
  * @file
  * Golden-stats corpus: every paper workload, at reduced scale on the
- * DX100 system, is pinned to a checked-in JSON snapshot produced by
+ * DX100 system and on the DMP system, is pinned to a checked-in JSON
+ * snapshot (<name>_dx100.json, <name>_dmp.json) produced by
  * the same statsToJson path the figure benches' --json flag uses. Any
  * behavioral change to the simulator — intended or not — shows up
  * here as a readable per-field diff instead of a silent drift in the
@@ -125,16 +126,19 @@ entryName(const ::testing::TestParamInfo<const WorkloadEntry *> &info)
     return info.param->name;
 }
 
-} // namespace
-
-TEST_P(GoldenStatsTest, MatchesCorpus)
+/**
+ * Run @p entry on @p cfg and compare its RunStats with the corpus file
+ * <name>_<suffix>.json (or rewrite that file under DX_REGEN_GOLDEN=1).
+ */
+void
+checkCorpus(const WorkloadEntry &entry, const std::string &suffix,
+            const SystemConfig &cfg)
 {
-    const WorkloadEntry &entry = *GetParam();
-    const fs::path file = goldenDir() / (entry.name + "_dx100.json");
+    const fs::path file =
+        goldenDir() / (entry.name + "_" + suffix + ".json");
 
     auto w = entry.make(Scale{kGoldenScale});
-    const RunStats actual =
-        runWorkloadOnce(*w, SystemConfig::withDx100());
+    const RunStats actual = runWorkloadOnce(*w, cfg);
     const std::string actualJson = statsToJson(actual);
 
     if (regenerating()) {
@@ -157,10 +161,25 @@ TEST_P(GoldenStatsTest, MatchesCorpus)
         << "unparsable golden file " << file;
 
     EXPECT_TRUE(*golden == actual)
-        << entry.name << " diverged from the golden corpus:\n"
+        << entry.name << " (" << suffix
+        << ") diverged from the golden corpus:\n"
         << fieldDiff(*golden, actual)
         << "If this change is intended, regenerate with "
            "tools/regen_golden.sh and commit the corpus diff.";
+}
+
+} // namespace
+
+TEST_P(GoldenStatsTest, MatchesCorpus)
+{
+    checkCorpus(*GetParam(), "dx100", SystemConfig::withDx100());
+}
+
+// The DMP comparison system (Fig. 12): pins the prefetcher's effect on
+// absolute timing, not only its agreement between the two tick loops.
+TEST_P(GoldenStatsTest, MatchesDmpCorpus)
+{
+    checkCorpus(*GetParam(), "dmp", SystemConfig::withDmp());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, GoldenStatsTest,

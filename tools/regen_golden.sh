@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Regenerate the golden-stats corpus (tests/golden/*.json), the
-# memory controller's command-order golden (tests/golden/controller_order.txt),
-# the Row Table's insert/drain golden (tests/golden/row_table_order.txt)
-# and the fig09 bench references (tests/golden/fig09_stdout.txt,
+# Regenerate the golden-stats corpus (tests/golden/*_dx100.json and
+# tests/golden/*_dmp.json), the memory controller's command-order golden
+# (tests/golden/controller_order.txt), the Row Table's insert/drain
+# golden (tests/golden/row_table_order.txt), the DMP prefetcher's
+# prefetch-order golden (tests/golden/dmp_order.txt) and the fig09
+# bench references (tests/golden/fig09_stdout.txt,
 # tests/golden/BENCH_fig09.json). The fig09 references come from the
 # command the release-bit-identity CI job checks them with; that job
 # builds with -DCMAKE_BUILD_TYPE=Release -DDX_WERROR=ON.
@@ -19,12 +21,14 @@ BUILD_DIR=$(realpath "${1:-build}")
 GOLDEN=$(pwd)/tests/golden
 
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target test_golden_stats \
-    test_controller test_row_table fig09_speedup
+    test_controller test_row_table test_runtime_and_units fig09_speedup
 DX_REGEN_GOLDEN=1 "$BUILD_DIR/tests/test_golden_stats"
 DX_REGEN_GOLDEN=1 "$BUILD_DIR/tests/test_controller" \
     --gtest_filter='ControllerGolden.*'
 DX_REGEN_GOLDEN=1 "$BUILD_DIR/tests/test_row_table" \
     --gtest_filter='RowTableGolden.*'
+DX_REGEN_GOLDEN=1 "$BUILD_DIR/tests/test_runtime_and_units" \
+    --gtest_filter='DmpGolden.*'
 
 RUN_DIR=$(mktemp -d)
 trap 'rm -rf "$RUN_DIR"' EXIT
