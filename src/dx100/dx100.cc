@@ -275,6 +275,7 @@ Dx100::dispatchTo(UnitKind unit, ExecPayload &&payload)
     }
 
     active_[unit] = std::move(a);
+    progressed();
     switch (unit) {
       case UnitKind::kStream:
         streamStart(stream_);
@@ -308,6 +309,7 @@ Dx100::retire(UnitKind unit)
     ++stats_.instructionsRetired;
     ++stats_.byOpcode[static_cast<unsigned>(a.payload.instr.op)];
     a.valid = false;
+    progressed();
 }
 
 void
@@ -338,6 +340,7 @@ Dx100::StreamSink::complete(const std::uint64_t &tag)
     dx_assert(u.outstanding > 0, "stray stream response");
     --u.outstanding;
     ++u.linesDone;
+    owner->progressed();
     const ProgressPtr &progress = owner->active_[kStream].progress;
     if (progress && !u.lines.empty()) {
         // Responses return roughly in order: publish a linear prefix.
@@ -415,6 +418,7 @@ Dx100::streamTick(StreamUnit &u)
             ++stats_.llcReads;
         ++u.outstanding;
         ++u.issuePos;
+        progressed();
     }
 
     if (u.issuePos >= u.lines.size() && u.outstanding == 0)
@@ -479,6 +483,7 @@ Dx100::indirectFill(IndirectUnit &u)
 {
     if (u.tlbStall > 0) {
         --u.tlbStall;
+        progressed();
         return;
     }
     u.fillBlocked = false;
@@ -508,6 +513,7 @@ Dx100::indirectFill(IndirectUnit &u)
             ++u.fillPos;
             ++u.skippedAtFill;
             --skipBudget;
+            progressed();
         }
         if (u.fillPos >= fillLimit)
             break;
@@ -547,6 +553,7 @@ Dx100::indirectFill(IndirectUnit &u)
         }
         ++stats_.indirectWords;
         ++u.fillPos;
+        progressed();
     }
 }
 
@@ -602,6 +609,7 @@ Dx100::indirectRequests(IndirectUnit &u)
                 ++stats_.dramReads;
             }
             ++u.outstandingReads;
+            progressed();
             rr = (sliceInCh + 1) % slicesPerChannel;
             break;
         }
@@ -615,6 +623,7 @@ Dx100::indirectResponses(IndirectUnit &u)
          ++n) {
         const auto [handle, viaCache] = u.responses.front();
         u.responses.pop_front();
+        progressed();
         const unsigned words = tables_.completeColumn(
             handle, [&](std::uint32_t, std::uint16_t) {});
         u.wordsDone += words;
@@ -655,6 +664,7 @@ Dx100::indirectWrites(IndirectUnit &u)
             ++stats_.dramWrites;
         }
         u.pendingWrites.pop_front();
+        progressed();
     }
 }
 
@@ -687,7 +697,11 @@ Dx100::timedTick(UnitKind kind, std::uint64_t &processed)
     const std::uint32_t count = a.payload.count;
     const std::uint32_t limit =
         std::min<std::uint32_t>(count, gateLimit(a));
-    processed = std::min<std::uint64_t>(processed + rate, limit);
+    const std::uint64_t next =
+        std::min<std::uint64_t>(processed + rate, limit);
+    if (next != processed)
+        progressed();
+    processed = next;
 
     if (a.progress && count > 0) {
         // In-order lanes: published output prefix tracks consumed
@@ -777,6 +791,10 @@ Dx100::tick()
     timedTick(UnitKind::kRange, rangeProcessed_);
 
     tryDispatch();
+
+    if (now_ - lastProgress_ >= kWedgeCycles && anyBusy())
+        dx_fatal(path(), ": wedged, no unit progressed for ", kWedgeCycles,
+                 " cycles (now ", now_, "): ", debugDump());
 }
 
 std::string

@@ -167,6 +167,14 @@ class Dx100 final : public Component,
      */
     Cycle nextEventAt() const;
 
+    /**
+     * A busy unit that has made no progress (no dispatch, fill, TLB
+     * walk step, request sent, response taken, element processed or
+     * retire) for this many cycles is wedged: tick() dx_fatals with
+     * debugDump() instead of spinning to the run's cycle limit.
+     */
+    static constexpr Cycle kWedgeCycles = Cycle{1} << 24;
+
     /** Closed-form advance over @p n idle cycles: nothing accrues. */
     void skipCycles(Cycle n) { now_ += n; }
 
@@ -314,6 +322,8 @@ class Dx100 final : public Component,
     int instanceId_ = 0;
 
     Cycle now_ = 0;
+    Cycle lastProgress_ = 0; //!< last cycle any unit made progress
+    void progressed() { lastProgress_ = now_; }
 
     // Doorbell assembly + sideband payloads, per core.
     struct Doorbell

@@ -122,6 +122,22 @@ SystemConfig::validate() const
                  ctrl.writeQueueSize, "); a high watermark above the "
                  "queue never starts a write drain — try 3/4 and 1/4 of "
                  "the queue");
+    const prefetch::IndirectPrefetcher::Config &pf = dmpCfg;
+    if (dmp && (pf.streamTableSize == 0 || pf.patternTableSize == 0 ||
+                pf.patternTableSize >
+                    prefetch::IndirectPrefetcher::kMaxPatterns))
+        dx_fatal("SystemConfig: dmpCfg.streamTableSize=",
+                 pf.streamTableSize, " must be at least 1 and "
+                 "dmpCfg.patternTableSize=", pf.patternTableSize,
+                 " must be 1..", prefetch::IndirectPrefetcher::kMaxPatterns,
+                 " (the prefetcher indexes streams by pc modulo the table "
+                 "size and tracks pattern slots in one 64-bit mask per "
+                 "confidence level)");
+    if (dmp && pf.confidenceThreshold < 1)
+        dx_fatal("SystemConfig: dmpCfg.confidenceThreshold=",
+                 pf.confidenceThreshold, " must be at least 1 (default ",
+                 prefetch::IndirectPrefetcher::Config{}.confidenceThreshold,
+                 "); a new pattern starts at confidence 1");
     using Dx = dx100::Dx100Config;
     for (const auto &[name, field] : {
              std::pair{"tileElems", &Dx::tileElems},

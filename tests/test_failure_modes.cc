@@ -2,12 +2,16 @@
  * @file
  * Failure-injection and misuse tests: illegal API usage panics
  * (caught as death tests), TLB-miss penalties show up in timing,
- * doorbell protocol violations are detected, and the dispatch window
- * survives adversarial instruction mixes.
+ * doorbell protocol violations are detected, the dispatch window
+ * survives adversarial instruction mixes, and a DX100 that can never
+ * progress is stopped by its wedge watchdog.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "runtime/dx100_api.hh"
 #include "sim/system.hh"
@@ -31,6 +35,15 @@ struct DirectEmitter : public cpu::OpEmitter
             dev->mmioWrite(op.addr, op.value, 0);
         return next++;
     }
+};
+
+/** A cache port that takes every request and never answers. */
+struct BlackHolePort : public cache::CachePort
+{
+    unsigned taken = 0;
+
+    bool canAccept() const override { return true; }
+    void request(const cache::CacheReq &) override { ++taken; }
 };
 
 } // namespace
@@ -160,4 +173,38 @@ TEST(FailureModes, DispatchSurvivesAdversarialHazardMix)
     // Functional result: alternating adds accumulate 20 on the chain.
     EXPECT_EQ(rt->spdValue(t1, 5),
               sys.memory().read<std::uint32_t>(src + 5 * 4) + 20);
+}
+
+TEST(FailureModes, WedgedDx100IsFatalNotASpin)
+{
+    // A standalone DX100 whose LLC port swallows every line request: the
+    // stream load fills its request table and then waits forever. The
+    // watchdog must stop it a fixed 2^24 cycles after its last progress.
+    mem::DramSystem dram{mem::DramSystem::Config{}};
+    BlackHolePort llc;
+    dx100::Dx100 dev(dx100::Dx100Config{}, dram, &llc,
+                     dx100::CoherencyAgent{}, 1);
+    SimMemory mem;
+    runtime::Dx100Runtime rt(dev, mem);
+    DirectEmitter e;
+    e.dev = &dev;
+    rt.sld(e, 0, runtime::DataType::kU32, 0x100000, rt.allocTile(), 0,
+           4096);
+
+    ScopedFatalThrow guard;
+    Cycle ticks = 0;
+    std::string what;
+    try {
+        for (; ticks < 2 * dx100::Dx100::kWedgeCycles; ++ticks)
+            dev.tick();
+    } catch (const FatalError &err) {
+        what = err.what();
+    }
+    EXPECT_EQ(llc.taken, dev.config().requestTableSize);
+    EXPECT_NE(what.find("wedged"), std::string::npos) << what;
+    EXPECT_NE(what.find("stream=busy"), std::string::npos) << what;
+    // The last progress is the final request, two per cycle.
+    EXPECT_GE(ticks, dx100::Dx100::kWedgeCycles);
+    EXPECT_LE(ticks, dx100::Dx100::kWedgeCycles +
+                         dev.config().requestTableSize);
 }
