@@ -12,7 +12,9 @@
  * *same* arithmetic, not merely a close approximation.
  *
  * The field walk goes through DX_RUN_STATS_SCHEMA, so a stat added to
- * the schema is automatically covered here.
+ * the schema is automatically covered here. RunStats omit the
+ * per-component stall counters that skipCycles() books in closed form,
+ * so the whole StatRegistry tree must match as well.
  */
 
 #include <gtest/gtest.h>
@@ -35,7 +37,14 @@ namespace
 
 constexpr double kTestScale = 0.02;
 
-RunStats
+/** One finished run: its RunStats and its whole stat tree as JSON. */
+struct RunResult
+{
+    RunStats stats;
+    std::string tree;
+};
+
+RunResult
 runWith(const WorkloadEntry &entry, SystemConfig cfg,
         TickPolicy policy)
 {
@@ -53,7 +62,7 @@ runWith(const WorkloadEntry &entry, SystemConfig cfg,
     EXPECT_TRUE(w->verify(sys))
         << entry.name << " produced wrong results under "
         << (sys.naiveTick() ? "naive" : "quiescent") << " ticking";
-    return stats;
+    return {stats, sys.statRegistry().toJson()};
 }
 
 /**
@@ -62,9 +71,11 @@ runWith(const WorkloadEntry &entry, SystemConfig cfg,
  * names the offending stat in the failure message.
  */
 void
-expectStatsIdentical(const RunStats &naive, const RunStats &sched,
+expectStatsIdentical(const RunResult &naiveRun, const RunResult &schedRun,
                      const std::string &label)
 {
+    const RunStats &naive = naiveRun.stats;
+    const RunStats &sched = schedRun.stats;
     std::vector<double> a, b;
     std::vector<const char *> names;
     naive.forEachField([&](const char *name, auto v) {
@@ -81,14 +92,17 @@ expectStatsIdentical(const RunStats &naive, const RunStats &sched,
             << "' diverges between naive and quiescent scheduling";
     }
     EXPECT_TRUE(naive == sched) << label;
+    EXPECT_EQ(naiveRun.tree, schedRun.tree)
+        << label << ": stat trees diverge between naive and quiescent"
+        << " scheduling";
 }
 
 void
 checkEquivalence(const WorkloadEntry &entry, const SystemConfig &cfg,
                  const std::string &tag)
 {
-    const RunStats naive = runWith(entry, cfg, TickPolicy::kNaive);
-    const RunStats sched = runWith(entry, cfg, TickPolicy::kQuiescent);
+    const RunResult naive = runWith(entry, cfg, TickPolicy::kNaive);
+    const RunResult sched = runWith(entry, cfg, TickPolicy::kQuiescent);
     expectStatsIdentical(naive, sched, entry.name + "/" + tag);
 }
 
@@ -143,7 +157,7 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, TickEquivalenceTest,
 namespace
 {
 
-RunStats
+RunResult
 runGather(const DramPatternParams &pat, std::size_t words,
           SystemConfig cfg, TickPolicy policy,
           Cycle maxCycles = Cycle{4} << 30)
@@ -164,7 +178,7 @@ runGather(const DramPatternParams &pat, std::size_t words,
         << (policy == TickPolicy::kNaive ? "naive" : "quiescent")
         << " run did not finish within " << maxCycles << " cycles";
     EXPECT_TRUE(w.verify(sys));
-    return stats;
+    return {stats, sys.statRegistry().toJson()};
 }
 
 } // namespace
@@ -177,9 +191,9 @@ TEST(TickEquivalenceMicro, AllMissGather)
                                         : SystemConfig::baseline();
             DramPatternParams pat;
             pat.rbhPercent = rbh;
-            const RunStats naive =
+            const RunResult naive =
                 runGather(pat, 8 * 1024, cfg, TickPolicy::kNaive);
-            const RunStats sched =
+            const RunResult sched =
                 runGather(pat, 8 * 1024, cfg, TickPolicy::kQuiescent);
             expectStatsIdentical(naive, sched,
                                  std::string(dx ? "dx100" : "baseline") +
@@ -200,9 +214,9 @@ TEST(TickEquivalenceMicro, FirstSliceFullTickDoesNotSleep)
     pat.rowsPerBank = 128;
     const SystemConfig cfg = SystemConfig::withDx100();
     const Cycle limit = 1'000'000;
-    const RunStats naive =
+    const RunResult naive =
         runGather(pat, 12 * 1024, cfg, TickPolicy::kNaive, limit);
-    const RunStats sched =
+    const RunResult sched =
         runGather(pat, 12 * 1024, cfg, TickPolicy::kQuiescent, limit);
     expectStatsIdentical(naive, sched, "dx100/rbh0/rows128");
 }
