@@ -233,7 +233,7 @@ Cache::installLine(Addr line, bool dirty, bool prefetched)
     victim->lastUse = ++useCounter_;
 }
 
-bool
+Cache::Stall
 Cache::processRequest(const CacheReq &req)
 {
     const Addr line = lineAlign(req.addr);
@@ -258,7 +258,7 @@ Cache::processRequest(const CacheReq &req)
         way->lastUse = ++useCounter_;
         if (req.sink)
             req.sink->complete(req.tag);
-        return true;
+        return Stall::kNone;
     }
 
     // Full-line writes (writebacks from above, bulk stores) allocate
@@ -267,17 +267,15 @@ Cache::processRequest(const CacheReq &req)
         installLine(line, true, false);
         if (req.sink)
             req.sink->complete(req.tag);
-        return true;
+        return Stall::kNone;
     }
 
     // Miss. Coalesce into an existing MSHR if one is outstanding.
     const int existing = mshrFor(line);
     if (existing >= 0) {
         Mshr &m = mshrs_[static_cast<unsigned>(existing)];
-        if (m.targets.size() >= cfg_.targetsPerMshr) {
-            ++stats_.stallMshrFull;
-            return false;
-        }
+        if (m.targets.size() >= cfg_.targetsPerMshr)
+            return Stall::kMshrFull;
         if (demand) {
             ++stats_.demandAccesses;
             ++stats_.demandMisses;
@@ -290,24 +288,20 @@ Cache::processRequest(const CacheReq &req)
             // A *local* prefetch racing a live fill: drop it. (A
             // forwarded prefetch from an upper level carries a sink
             // and must be answered, so it coalesces like a demand.)
-            return true;
+            return Stall::kNone;
         }
         if (req.sink || req.write)
             m.targets.push_back({req.tag, req.sink, req.write});
-        return true;
+        return Stall::kNone;
     }
 
     const int idx = freeMshr();
-    if (idx < 0) {
-        ++stats_.stallMshrFull;
-        return false;
-    }
+    if (idx < 0)
+        return Stall::kMshrFull;
     CacheReq probe;
     probe.addr = line;
-    if (!downstream_->canAcceptReq(probe)) {
-        ++stats_.stallDownstream;
-        return false;
-    }
+    if (!downstream_->canAcceptReq(probe))
+        return Stall::kDownstream;
 
     if (demand) {
         ++stats_.demandAccesses;
@@ -335,13 +329,15 @@ Cache::processRequest(const CacheReq &req)
     down.tag = static_cast<std::uint64_t>(idx);
     down.sink = this;
     downstream_->request(down);
-    return true;
+    return Stall::kNone;
 }
 
 void
 Cache::complete(const std::uint64_t &tag)
 {
-    touch();
+    touch(); // books the slept cycles under the old verdict first
+    if (stall_ == Stall::kMshrFull)
+        stall_ = Stall::kNone;
     dx_assert(tag < mshrs_.size(), cfg_.name, ": bogus fill tag");
     const unsigned idx = static_cast<unsigned>(tag);
     Mshr &m = mshrs_[idx];
@@ -367,6 +363,16 @@ Cache::complete(const std::uint64_t &tag)
 }
 
 void
+Cache::departure()
+{
+    // A fill cannot end a downstream stall: that head had a free MSHR
+    // and no MSHR of its own, and a departure cannot free an MSHR.
+    touch();
+    if (stall_ == Stall::kDownstream)
+        stall_ = Stall::kNone;
+}
+
+void
 Cache::drainWritebacks()
 {
     while (!writebacks_.empty()) {
@@ -383,6 +389,11 @@ Cache::drainWritebacks()
     }
 }
 
+// A prefetch issued after the head stalled never changes its verdict,
+// so nothing here clears stall_. Prefetchers sit only on L1/L2, whose
+// downstream admission does not depend on the address: a downstream
+// stall refuses the prefetch too, and an MSHR-full head keeps its own
+// full MSHR or finds none free.
 void
 Cache::issuePrefetches()
 {
@@ -417,6 +428,7 @@ void
 Cache::tick()
 {
     ++now_;
+    stall_ = Stall::kNone;
     drainWritebacks();
 
     unsigned n = 0;
@@ -424,8 +436,11 @@ Cache::tick()
         const Pending &p = queueHead();
         if (p.readyAt > now_)
             break;
-        if (!processRequest(p.req))
+        stall_ = processRequest(p.req);
+        if (stall_ != Stall::kNone) {
+            bookStall(1);
             break; // structural stall: retry next cycle
+        }
         if (++queueFront_ == cfg_.queueSize)
             queueFront_ = 0;
         --queueLen_;
@@ -488,32 +503,9 @@ Cache::auditDrained() const
     }
 }
 
-Cache::HeadStall
-Cache::headStall() const
-{
-    const CacheReq &req = queueHead().req;
-    const Addr line = lineAlign(req.addr);
-    // Hit, or a full-line write allocating in place.
-    if (findWay(line) || (req.write && req.fullLine))
-        return HeadStall::kNone;
-    if (const int existing = mshrFor(line); existing >= 0) {
-        const Mshr &m = mshrs_[static_cast<unsigned>(existing)];
-        return m.targets.size() >= cfg_.targetsPerMshr
-                   ? HeadStall::kMshrFull
-                   : HeadStall::kNone; // coalesce (or drop)
-    }
-    if (mshrsInUse_ >= cfg_.mshrs)
-        return HeadStall::kMshrFull;
-    CacheReq probe;
-    probe.addr = line;
-    return downstream_->canAcceptReq(probe) ? HeadStall::kNone
-                                            : HeadStall::kDownstream;
-}
-
 Cycle
 Cache::nextEventAt() const
 {
-    sleepStall_ = HeadStall::kNone;
     if (!writebacks_.empty() ||
         (prefetcher_ && prefetcher_->pending())) {
         return now_ + 1;
@@ -524,29 +516,32 @@ Cache::nextEventAt() const
     // due; MSHR fills arrive via complete (external stimulus).
     if (queueHead().readyAt > now_ + 1)
         return queueHead().readyAt;
-    // Due head: quiet only if the retry would structurally stall, in
-    // which case its sole effect is the stall counter skipCycles()
-    // books. What the stall depends on (MSHRs, downstream queue space)
-    // only changes through a fill or a downstream departure, both of
-    // which touch this cache; entries behind it are blocked in order.
-    sleepStall_ = headStall();
-    return sleepStall_ == HeadStall::kNone ? now_ + 1 : kNeverCycle;
+    // Due head: quiet while the stall its last tick recorded stands,
+    // since each retry would only bump that stall counter (skipCycles
+    // books it). Entries behind the head are blocked in order.
+    return stall_ == Stall::kNone ? now_ + 1 : kNeverCycle;
+}
+
+void
+Cache::bookStall(Cycle n)
+{
+    switch (stall_) {
+      case Stall::kMshrFull:
+        stats_.stallMshrFull += n;
+        break;
+      case Stall::kDownstream:
+        stats_.stallDownstream += n;
+        break;
+      case Stall::kNone:
+        break;
+    }
 }
 
 void
 Cache::skipCycles(Cycle n)
 {
     now_ += n;
-    switch (sleepStall_) {
-      case HeadStall::kMshrFull:
-        stats_.stallMshrFull += n;
-        break;
-      case HeadStall::kDownstream:
-        stats_.stallDownstream += n;
-        break;
-      case HeadStall::kNone:
-        break;
-    }
+    bookStall(n);
 }
 
 void

@@ -450,3 +450,91 @@ TEST(CacheProperties, DeparturesWakeBoundClients)
     EXPECT_EQ(late.woken, 1u);
     EXPECT_EQ(upstreamA.woken, 1u); // not bound to the router
 }
+
+namespace
+{
+
+/** Downstream stub whose admission the test opens and closes. */
+struct GatedPort : public CachePort
+{
+    bool open = true;
+    std::vector<CacheReq> fetches;
+    bool canAccept() const override { return open; }
+    void request(const CacheReq &req) override { fetches.push_back(req); }
+};
+
+} // namespace
+
+// The sleep contract, driven by hand: the tick that stalls the head
+// books one cycle and records why, nextEventAt() then sleeps on that
+// verdict, skipCycles() books the slept cycles to it, and only the
+// event that can end the stall wakes the cache: a departure for a
+// downstream stall, a fill for an MSHR-full one.
+TEST(CacheProperties, SleepsOnTheStallItsTickRecorded)
+{
+    GatedPort down;
+    Cache::Config cfg;
+    cfg.latency = 1;
+    cfg.width = 1;
+    cfg.mshrs = 2;
+    Cache cache(cfg, &down);
+    CountingSink sink;
+    Cycle now = 0; // the cache's clock
+    auto send = [&](Addr addr) {
+        CacheReq req;
+        req.addr = addr;
+        req.sink = &sink;
+        cache.request(req);
+    };
+    auto tick = [&] {
+        EXPECT_EQ(cache.nextEventAt(), now + 1);
+        cache.tick();
+        ++now;
+    };
+    auto skip = [&](Cycle n) {
+        cache.skipCycles(n);
+        now += n;
+    };
+    const Cache::Stats &st = cache.stats();
+
+    send(0x0000); // line A takes MSHR 0
+    tick();
+    ASSERT_EQ(down.fetches.size(), 1u);
+
+    // Downstream stall: line B has a free MSHR but no room below.
+    down.open = false;
+    send(0x1000);
+    tick();
+    EXPECT_EQ(st.stallDownstream.value(), 1u);
+    EXPECT_EQ(st.stallMshrFull.value(), 0u);
+    EXPECT_EQ(cache.nextEventAt(), kNeverCycle);
+    skip(5);
+    EXPECT_EQ(st.stallDownstream.value(), 6u);
+    cache.complete(0); // fill A: cannot make room downstream
+    EXPECT_EQ(sink.done, 1u);
+    EXPECT_EQ(cache.nextEventAt(), kNeverCycle);
+    down.open = true;
+    down.departed();
+    tick(); // B takes MSHR 0
+    ASSERT_EQ(down.fetches.size(), 2u);
+    EXPECT_EQ(down.fetches.back().tag, 0u);
+    EXPECT_EQ(st.stallDownstream.value(), 6u);
+
+    // MSHR-full stall: C takes MSHR 1, then D finds none free.
+    send(0x2000);
+    tick();
+    send(0x3000);
+    tick();
+    EXPECT_EQ(st.stallMshrFull.value(), 1u);
+    EXPECT_EQ(cache.nextEventAt(), kNeverCycle);
+    skip(3);
+    EXPECT_EQ(st.stallMshrFull.value(), 4u);
+    down.departed(); // room below cannot free an MSHR
+    EXPECT_EQ(cache.nextEventAt(), kNeverCycle);
+    cache.complete(1); // fill C
+    tick();            // D takes MSHR 1
+    ASSERT_EQ(down.fetches.size(), 4u);
+    EXPECT_EQ(lineAlign(down.fetches.back().addr), Addr{0x3000});
+    EXPECT_EQ(st.stallMshrFull.value(), 4u);
+    EXPECT_EQ(st.stallDownstream.value(), 6u);
+}

@@ -37,7 +37,7 @@ using namespace dx::wl;
 namespace
 {
 
-constexpr Cycle kCycleCap = 4u << 20;
+constexpr Cycle kCycleCap = 1u << 20;
 
 /** One prepared System: workload + kernels installed, ready to tick. */
 struct Rig
