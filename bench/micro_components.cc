@@ -2,11 +2,14 @@
  * @file
  * google-benchmark component microbenchmarks: raw throughput of the
  * substrates (address map, DRAM controller, row table, ISA codec,
- * functional model). These measure the *simulator's* own speed and
- * component behaviour, complementing the figure benches.
+ * functional model, functional store). These measure the
+ * *simulator's* own speed and component behaviour, complementing the
+ * figure benches.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "common/rng.hh"
 #include "common/sim_memory.hh"
@@ -135,5 +138,50 @@ BM_FunctionalGather(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 16384);
 }
 BENCHMARK(BM_FunctionalGather);
+
+// SimMemory: the functional store every index value is read from when
+// a micro-op is emitted, and every generated input is written to.
+constexpr Addr kSimMemBase = SimAllocator::kHugePage;
+constexpr std::size_t kSimMemWords = (16u << 20) / sizeof(std::uint32_t);
+
+static void
+BM_SimMemoryFill(benchmark::State &state)
+{
+    // Sequential 4-byte writes over 16 MiB into a fresh store, frame
+    // allocation included (the shape of workload data generation).
+    for (auto _ : state) {
+        SimMemory mem;
+        for (std::size_t i = 0; i < kSimMemWords; ++i)
+            mem.write<std::uint32_t>(kSimMemBase + 4 * i,
+                                     static_cast<std::uint32_t>(i));
+        benchmark::DoNotOptimize(mem.framesAllocated());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * kSimMemWords);
+}
+BENCHMARK(BM_SimMemoryFill)->Unit(benchmark::kMillisecond);
+
+static void
+BM_SimMemoryGather(benchmark::State &state)
+{
+    // Seeded random 4-byte reads over the same 16 MiB (the shape of
+    // indirect index and value reads at micro-op emission).
+    SimMemory mem;
+    for (std::size_t i = 0; i < kSimMemWords; ++i)
+        mem.write<std::uint32_t>(kSimMemBase + 4 * i,
+                                 static_cast<std::uint32_t>(i));
+    Rng rng(11);
+    std::vector<Addr> addrs(1u << 16);
+    for (Addr &a : addrs)
+        a = kSimMemBase + 4 * rng.below(kSimMemWords);
+    for (auto _ : state) {
+        std::uint32_t sum = 0;
+        for (Addr a : addrs)
+            sum += mem.read<std::uint32_t>(a);
+        benchmark::DoNotOptimize(sum);
+    }
+    state.SetItemsProcessed(state.iterations() * addrs.size());
+}
+BENCHMARK(BM_SimMemoryGather);
 
 BENCHMARK_MAIN();
