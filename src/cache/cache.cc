@@ -23,7 +23,8 @@ Cache::Cache(const Config &cfg, CachePort *downstream)
               "set count must be a power of two");
     dx_assert(cfg_.mshrs > 0 && cfg_.queueSize > 0,
               "cache needs MSHRs and an input queue");
-    ways_.assign(std::size_t{numSets_} * cfg_.assoc, Way{});
+    tags_.assign(std::size_t{numSets_} * cfg_.assoc, kEmptySlot);
+    meta_.assign(tags_.size(), WayMeta{});
     mshrs_.assign(cfg_.mshrs, Mshr{});
     freeMshrs_.assign((cfg_.mshrs + 63) / 64, 0);
     for (unsigned i = 0; i < cfg_.mshrs; ++i)
@@ -46,21 +47,16 @@ Cache::setBase(Addr line) const
     return ((line >> kLineShift) & (numSets_ - 1)) * std::size_t{cfg_.assoc};
 }
 
-const Cache::Way *
+std::size_t
 Cache::findWay(Addr line) const
 {
-    const Way *set = &ways_[setBase(line)];
+    const std::size_t base = setBase(line);
+    const Addr *set = &tags_[base];
     for (unsigned w = 0; w < cfg_.assoc; ++w) {
-        if (set[w].valid && set[w].tag == line)
-            return &set[w];
+        if (set[w] == line)
+            return base + w;
     }
-    return nullptr;
-}
-
-Cache::Way *
-Cache::findWay(Addr line)
-{
-    return const_cast<Way *>(std::as_const(*this).findWay(line));
+    return kNoWay;
 }
 
 unsigned
@@ -166,25 +162,24 @@ bool
 Cache::containsLine(Addr line) const
 {
     line = lineAlign(line);
-    return findWay(line) || mshrFor(line) >= 0;
+    return findWay(line) != kNoWay || mshrFor(line) >= 0;
 }
 
 bool
 Cache::tagsHold(Addr line) const
 {
-    return findWay(lineAlign(line)) != nullptr;
+    return findWay(lineAlign(line)) != kNoWay;
 }
 
 bool
 Cache::invalidateLine(Addr line)
 {
     touch();
-    Way *way = findWay(lineAlign(line));
-    if (!way)
+    const std::size_t w = findWay(lineAlign(line));
+    if (w == kNoWay)
         return false;
-    const bool dirty = way->dirty;
-    *way = Way{};
-    return dirty;
+    tags_[w] = kEmptySlot;
+    return meta_[w].dirty;
 }
 
 void
@@ -192,45 +187,43 @@ Cache::installLine(Addr line, bool dirty, bool prefetched)
 {
     // Refill of a line that is already present (e.g. a full-line write
     // raced with a fill): just merge the dirty bit.
-    if (Way *way = findWay(line)) {
-        way->dirty = way->dirty || dirty;
-        way->lastUse = ++useCounter_;
+    if (const std::size_t w = findWay(line); w != kNoWay) {
+        meta_[w].dirty = meta_[w].dirty || dirty;
+        meta_[w].lastUse = ++useCounter_;
         return;
     }
 
-    Way *set = &ways_[setBase(line)];
-    Way *victim = nullptr;
-    for (unsigned w = 0; w < cfg_.assoc; ++w) {
-        Way &way = set[w];
-        if (!way.valid) {
-            victim = &way;
+    // Victim: the first invalid way, otherwise the first way with the
+    // lowest lastUse.
+    const std::size_t base = setBase(line);
+    std::size_t victim = base;
+    for (std::size_t w = base; w < base + cfg_.assoc; ++w) {
+        if (tags_[w] == kEmptySlot) {
+            victim = w;
             break;
         }
-        if (!victim || way.lastUse < victim->lastUse)
-            victim = &way;
+        if (meta_[w].lastUse < meta_[victim].lastUse)
+            victim = w;
     }
 
-    if (victim->valid) {
+    if (const Addr old = tags_[victim]; old != kEmptySlot) {
         ++stats_.evictions;
-        bool victimDirty = victim->dirty;
+        bool victimDirty = meta_[victim].dirty;
         if (cfg_.inclusiveRoot) {
             for (Cache *child : children_) {
-                if (child->invalidateLine(victim->tag))
+                if (child->invalidateLine(old))
                     victimDirty = true;
                 ++stats_.backInvalidates;
             }
         }
         if (victimDirty) {
-            writebacks_.push_back(victim->tag);
+            writebacks_.push_back(old);
             ++stats_.writebacks;
         }
     }
 
-    victim->tag = line;
-    victim->valid = true;
-    victim->dirty = dirty;
-    victim->prefetched = prefetched;
-    victim->lastUse = ++useCounter_;
+    tags_[victim] = line;
+    meta_[victim] = {++useCounter_, dirty, prefetched};
 }
 
 Cache::Stall
@@ -240,13 +233,14 @@ Cache::processRequest(const CacheReq &req)
     const bool demand = req.origin == mem::Origin::kCpuDemand;
     const bool dxTraffic = req.origin == mem::Origin::kDx100;
 
-    if (Way *way = findWay(line)) {
+    if (const std::size_t w = findWay(line); w != kNoWay) {
+        WayMeta &way = meta_[w];
         if (demand) {
             ++stats_.demandAccesses;
             ++stats_.demandHits;
-            if (way->prefetched) {
+            if (way.prefetched) {
                 ++stats_.prefetchesUseful;
-                way->prefetched = false;
+                way.prefetched = false;
             }
             if (prefetcher_)
                 prefetcher_->observe(req, false);
@@ -254,8 +248,8 @@ Cache::processRequest(const CacheReq &req)
             ++stats_.dxHits;
         }
         if (req.write)
-            way->dirty = true;
-        way->lastUse = ++useCounter_;
+            way.dirty = true;
+        way.lastUse = ++useCounter_;
         if (req.sink)
             req.sink->complete(req.tag);
         return Stall::kNone;

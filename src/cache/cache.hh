@@ -150,13 +150,12 @@ class Cache final : public Component,
     std::string debugDump() const;
 
   private:
-    struct Way
+    /** Replacement and state bits of one way; its tag is in tags_. */
+    struct WayMeta
     {
-        Addr tag = 0;
-        bool valid = false;
+        std::uint64_t lastUse = 0;
         bool dirty = false;
         bool prefetched = false;
-        std::uint64_t lastUse = 0;
     };
 
     struct Target
@@ -187,13 +186,16 @@ class Cache final : public Component,
         Addr line;
         unsigned mshr;
     };
-    //! Never line-aligned, so it cannot collide with a real line.
+    //! Marks an index hole and an invalid way. Never line-aligned, so
+    //! it cannot collide with a real line.
     static constexpr Addr kEmptySlot = ~Addr{0};
+    //! findWay()'s answer for a line the tags do not hold.
+    static constexpr std::size_t kNoWay = ~std::size_t{0};
 
-    /** First way of @p line's set in the flat tag store. */
+    /** First way of @p line's set in tags_ and meta_. */
     std::size_t setBase(Addr line) const;
-    const Way *findWay(Addr line) const;
-    Way *findWay(Addr line);
+    /** Way holding @p line (line-aligned), or kNoWay: a tag-only scan. */
+    std::size_t findWay(Addr line) const;
 
     /** MSHR tracking @p line (line-aligned), or -1: one index probe. */
     int mshrFor(Addr line) const;
@@ -246,7 +248,9 @@ class Cache final : public Component,
     std::vector<Cache *> children_;
 
     unsigned numSets_;
-    std::vector<Way> ways_; //!< numSets_ x assoc, set-major
+    //! numSets_ x assoc, set-major: each way's line, or kEmptySlot.
+    std::vector<Addr> tags_;
+    std::vector<WayMeta> meta_; //!< parallel to tags_
     std::vector<Mshr> mshrs_;
     std::vector<std::uint64_t> freeMshrs_; //!< bit set = MSHR free
     unsigned mshrsInUse_ = 0; //!< live entries in mshrs_ (O(1) busy())

@@ -5,23 +5,20 @@
 namespace dx
 {
 
-SimMemory::Frame &
+std::uint8_t *
 SimMemory::frameFor(Addr addr)
 {
-    const Addr key = addr >> kFrameShift;
-    auto it = frames_.find(key);
-    if (it == frames_.end()) {
-        it = frames_.emplace(key, Frame(kFrameBytes, 0)).first;
+    dx_assert(addr < kAddrLimit, "SimMemory write at address ", addr,
+              " is past the ", kAddrLimit, "-byte bound");
+    const Addr idx = addr >> kFrameShift;
+    if (idx >= frames_.size())
+        frames_.resize(idx + 1);
+    Frame &f = frames_[idx];
+    if (!f) {
+        f = std::make_unique<std::uint8_t[]>(kFrameBytes);
+        ++framesAllocated_;
     }
-    return it->second;
-}
-
-const SimMemory::Frame *
-SimMemory::frameForConst(Addr addr) const
-{
-    const Addr key = addr >> kFrameShift;
-    auto it = frames_.find(key);
-    return it == frames_.end() ? nullptr : &it->second;
+    return f.get();
 }
 
 void
@@ -32,12 +29,10 @@ SimMemory::readBytes(Addr addr, void *dst, std::size_t len) const
         const Addr off = addr & (kFrameBytes - 1);
         const std::size_t chunk =
             std::min<std::size_t>(len, kFrameBytes - off);
-        const Frame *f = frameForConst(addr);
-        if (f) {
-            std::memcpy(out, f->data() + off, chunk);
-        } else {
+        if (const std::uint8_t *f = frame(addr))
+            std::memcpy(out, f + off, chunk);
+        else
             std::memset(out, 0, chunk);
-        }
         out += chunk;
         addr += chunk;
         len -= chunk;
@@ -52,8 +47,7 @@ SimMemory::writeBytes(Addr addr, const void *src, std::size_t len)
         const Addr off = addr & (kFrameBytes - 1);
         const std::size_t chunk =
             std::min<std::size_t>(len, kFrameBytes - off);
-        Frame &f = frameFor(addr);
-        std::memcpy(f.data() + off, in, chunk);
+        std::memcpy(frameFor(addr) + off, in, chunk);
         in += chunk;
         addr += chunk;
         len -= chunk;
@@ -67,8 +61,7 @@ SimMemory::zero(Addr addr, std::size_t len)
         const Addr off = addr & (kFrameBytes - 1);
         const std::size_t chunk =
             std::min<std::size_t>(len, kFrameBytes - off);
-        Frame &f = frameFor(addr);
-        std::memset(f.data() + off, 0, chunk);
+        std::memset(frameFor(addr) + off, 0, chunk);
         addr += chunk;
         len -= chunk;
     }

@@ -4,9 +4,13 @@
  *
  * The timing models in this repository are *pure timing*: data values are
  * produced and consumed functionally, eagerly, by the workload kernels and
- * the DX100 runtime at micro-op generation time (see DESIGN.md §4.2).
+ * the DX100 runtime at micro-op generation time (see DESIGN.md §4b).
  * SimMemory is the byte-addressable store they operate on. It is sparse:
- * 64 KiB frames are allocated on first touch.
+ * a flat frame table, indexed by address >> kFrameShift, holds one
+ * pointer per 64 KiB frame, and a frame is allocated (zeroed) on its
+ * first write. Reads never allocate: an unwritten frame reads as zeros.
+ * Writes must stay below kAddrLimit, so the table costs at most 8 B per
+ * 64 KiB of address span below the highest written frame.
  */
 
 #ifndef DX_COMMON_SIM_MEMORY_HH
@@ -14,7 +18,7 @@
 
 #include <cstring>
 #include <memory>
-#include <unordered_map>
+#include <type_traits>
 #include <vector>
 
 #include "common/logging.hh"
@@ -28,6 +32,8 @@ class SimMemory
   public:
     static constexpr unsigned kFrameShift = 16;
     static constexpr Addr kFrameBytes = Addr{1} << kFrameShift;
+    //! Writes at or above 1 TiB panic; the table then tops out at 128 MiB.
+    static constexpr Addr kAddrLimit = Addr{1} << 40;
 
     /** Read a trivially-copyable value at @p addr. */
     template <typename T>
@@ -36,7 +42,11 @@ class SimMemory
     {
         static_assert(std::is_trivially_copyable_v<T>);
         T out{};
-        readBytes(addr, &out, sizeof(T));
+        if (!withinFrame<T>(addr)) {
+            readBytes(addr, &out, sizeof(T));
+        } else if (const std::uint8_t *f = frame(addr)) {
+            std::memcpy(&out, f + (addr & (kFrameBytes - 1)), sizeof(T));
+        }
         return out;
     }
 
@@ -46,7 +56,11 @@ class SimMemory
     write(Addr addr, const T &value)
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        writeBytes(addr, &value, sizeof(T));
+        std::uint8_t *f = withinFrame<T>(addr) ? frame(addr) : nullptr;
+        if (f)
+            std::memcpy(f + (addr & (kFrameBytes - 1)), &value, sizeof(T));
+        else
+            writeBytes(addr, &value, sizeof(T));
     }
 
     /** Copy @p len bytes out of the simulated memory. */
@@ -59,15 +73,32 @@ class SimMemory
     void zero(Addr addr, std::size_t len);
 
     /** Number of frames currently materialized (for tests/telemetry). */
-    std::size_t framesAllocated() const { return frames_.size(); }
+    std::size_t framesAllocated() const { return framesAllocated_; }
 
   private:
-    using Frame = std::vector<std::uint8_t>;
+    using Frame = std::unique_ptr<std::uint8_t[]>;
 
-    Frame &frameFor(Addr addr);
-    const Frame *frameForConst(Addr addr) const;
+    /** True when a T at @p addr lies inside one frame. */
+    template <typename T>
+    static bool
+    withinFrame(Addr addr)
+    {
+        return (addr & (kFrameBytes - 1)) <= kFrameBytes - sizeof(T);
+    }
 
-    std::unordered_map<Addr, Frame> frames_;
+    /** The frame holding @p addr, or null if it was never written. */
+    std::uint8_t *
+    frame(Addr addr) const
+    {
+        const Addr idx = addr >> kFrameShift;
+        return idx < frames_.size() ? frames_[idx].get() : nullptr;
+    }
+
+    /** The frame holding @p addr, allocated on first use. */
+    std::uint8_t *frameFor(Addr addr);
+
+    std::vector<Frame> frames_; //!< indexed by addr >> kFrameShift
+    std::size_t framesAllocated_ = 0;
 };
 
 /**
