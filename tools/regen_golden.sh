@@ -3,7 +3,8 @@
 # tests/golden/*_dmp.json), the memory controller's command-order golden
 # (tests/golden/controller_order.txt), the Row Table's insert/drain
 # golden (tests/golden/row_table_order.txt), the DMP prefetcher's
-# prefetch-order golden (tests/golden/dmp_order.txt) and the fig09
+# prefetch-order golden (tests/golden/dmp_order.txt), the core's
+# commit-order golden (tests/golden/core_order.txt) and the fig09
 # bench references (tests/golden/fig09_stdout.txt,
 # tests/golden/BENCH_fig09.json). The fig09 references come from the
 # command the release-bit-identity CI job checks them with; that job
@@ -21,7 +22,8 @@ BUILD_DIR=$(realpath "${1:-build}")
 GOLDEN=$(pwd)/tests/golden
 
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target test_golden_stats \
-    test_controller test_row_table test_runtime_and_units fig09_speedup
+    test_controller test_row_table test_runtime_and_units test_core \
+    fig09_speedup
 DX_REGEN_GOLDEN=1 "$BUILD_DIR/tests/test_golden_stats"
 DX_REGEN_GOLDEN=1 "$BUILD_DIR/tests/test_controller" \
     --gtest_filter='ControllerGolden.*'
@@ -29,6 +31,8 @@ DX_REGEN_GOLDEN=1 "$BUILD_DIR/tests/test_row_table" \
     --gtest_filter='RowTableGolden.*'
 DX_REGEN_GOLDEN=1 "$BUILD_DIR/tests/test_runtime_and_units" \
     --gtest_filter='DmpGolden.*'
+DX_REGEN_GOLDEN=1 "$BUILD_DIR/tests/test_core" \
+    --gtest_filter='CoreGolden.*'
 
 RUN_DIR=$(mktemp -d)
 trap 'rm -rf "$RUN_DIR"' EXIT
