@@ -278,12 +278,10 @@ Cache::processRequest(const CacheReq &req)
                 prefetcher_->observe(req, true);
         } else if (dxTraffic) {
             ++stats_.dxMisses;
-        } else if (req.origin == mem::Origin::kPrefetch && !req.sink) {
-            // A *local* prefetch racing a live fill: drop it. (A
-            // forwarded prefetch from an upper level carries a sink
-            // and must be answered, so it coalesces like a demand.)
-            return Stall::kNone;
         }
+        // A prefetch in the input queue was forwarded from above with a
+        // sink (this cache's own go straight downstream), so it
+        // coalesces like a demand.
         if (req.sink || req.write)
             m.targets.push_back({req.tag, req.sink, req.write});
         return Stall::kNone;

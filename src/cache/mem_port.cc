@@ -44,7 +44,6 @@ DramPort::request(const CacheReq &req)
         slots_.emplace_back();
     }
     slots_[slot] = req;
-    ++inflight_;
     dram_.access(line, false, req.origin, slot, this);
 }
 
@@ -55,7 +54,6 @@ DramPort::complete(const mem::MemRequest &mreq)
     const auto slot = static_cast<std::uint32_t>(mreq.tag);
     CacheReq req = slots_[slot];
     freeSlots_.push_back(slot);
-    --inflight_;
     if (req.sink)
         req.sink->complete(req.tag);
 }

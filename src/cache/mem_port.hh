@@ -30,13 +30,10 @@ class DramPort : public CachePort, public mem::MemRespSink
     /** Admission is gated on controller buffers; wake on their drains. */
     void addClient(Component &client) override { dram_.addClient(client); }
 
-    bool busy() const { return inflight_ > 0; }
-
   private:
     mem::DramSystem &dram_;
     std::vector<CacheReq> slots_;
     std::vector<std::uint32_t> freeSlots_;
-    unsigned inflight_ = 0;
 };
 
 /**

@@ -135,9 +135,6 @@ class SimAllocator
         return alloc(static_cast<Addr>(n) * sizeof(T));
     }
 
-    /** Total bytes allocated so far (address-space high-water mark). */
-    Addr highWater() const { return next_; }
-
   private:
     Addr next_;
 };

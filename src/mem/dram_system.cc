@@ -119,16 +119,6 @@ DramSystem::linesTransferred() const
     return n;
 }
 
-double
-DramSystem::peakBytesPerCoreCycle() const
-{
-    // Each channel moves one line per tBL controller cycles at peak.
-    const double perChannel =
-        static_cast<double>(kLineBytes) /
-        (cfg_.ctrl.timings.tBL * cfg_.clockRatio);
-    return perChannel * channels_.size();
-}
-
 void
 DramSystem::registerStats(StatRegistry &reg) const
 {

@@ -83,9 +83,6 @@ class DramSystem final : public Component
     /** Total lines transferred (reads + writes). */
     std::uint64_t linesTransferred() const;
 
-    /** Peak bandwidth in bytes per core cycle (for utilization math). */
-    double peakBytesPerCoreCycle() const;
-
   private:
     const Config cfg_;
     AddressMap map_;

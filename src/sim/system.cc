@@ -326,13 +326,6 @@ System::~System()
 }
 
 dx100::Dx100 *
-System::dx100For(unsigned coreId)
-{
-    return dxs_.empty() ? nullptr
-                        : dxs_[cfg_.dx100InstanceFor(coreId)].get();
-}
-
-dx100::Dx100 *
 System::dx100(unsigned instance)
 {
     return instance < dxs_.size() ? dxs_[instance].get() : nullptr;

@@ -188,8 +188,6 @@ class System final : public Component
     cache::Cache &llc() { return *llc_; }
     mem::DramSystem &dram() { return *dram_; }
 
-    /** DX100 instance serving core @p coreId (core multiplexing). */
-    dx100::Dx100 *dx100For(unsigned coreId);
     dx100::Dx100 *dx100(unsigned instance = 0);
     runtime::Dx100Runtime *runtime(unsigned instance = 0);
     runtime::Dx100Runtime *runtimeFor(unsigned coreId);
