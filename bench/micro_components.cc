@@ -108,8 +108,7 @@ BM_DramControllerRandomReads(benchmark::State &state)
         for (int t = 0; t < 4096; ++t) {
             const Addr a = lineAlign(rng.below(64u << 20));
             if (dram.canAccept(a, false))
-                dram.access(a, false, mem::Origin::kCpuDemand, 0,
-                            nullptr);
+                dram.access(a, false, 0, nullptr);
             dram.tick();
         }
     }

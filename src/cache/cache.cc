@@ -141,7 +141,7 @@ Cache::allocMshr(unsigned idx, Addr line)
 }
 
 bool
-Cache::canAccept() const
+Cache::canAccept(const CacheReq &) const
 {
     return queueLen_ < cfg_.queueSize;
 }
@@ -150,7 +150,7 @@ void
 Cache::request(const CacheReq &req)
 {
     touch(); // readyAt below reads our clock
-    dx_assert(canAccept(), cfg_.name, ": input queue overflow");
+    dx_assert(canAccept(req), cfg_.name, ": input queue overflow");
     unsigned tail = queueFront_ + queueLen_;
     if (tail >= cfg_.queueSize)
         tail -= cfg_.queueSize;
@@ -290,9 +290,17 @@ Cache::processRequest(const CacheReq &req)
     const int idx = freeMshr();
     if (idx < 0)
         return Stall::kMshrFull;
-    CacheReq probe;
-    probe.addr = line;
-    if (!downstream_->canAcceptReq(probe))
+    CacheReq down;
+    down.addr = req.addr;
+    down.write = false; // fetch; dirtiness handled on fill
+    down.origin = req.origin;
+    // Forward the static-instruction id and loaded value so the next
+    // level's prefetcher can train on the miss stream.
+    down.pc = req.pc;
+    down.value = req.value;
+    down.tag = static_cast<std::uint64_t>(idx);
+    down.sink = this;
+    if (!downstream_->canAccept(down))
         return Stall::kDownstream;
 
     if (demand) {
@@ -309,17 +317,6 @@ Cache::processRequest(const CacheReq &req)
     m.prefetch = req.origin == mem::Origin::kPrefetch;
     if (req.sink || req.write)
         m.targets.push_back({req.tag, req.sink, req.write});
-
-    CacheReq down;
-    down.addr = req.addr;
-    down.write = false; // fetch; dirtiness handled on fill
-    down.origin = req.origin;
-    // Forward the static-instruction id and loaded value so the next
-    // level's prefetcher can train on the miss stream.
-    down.pc = req.pc;
-    down.value = req.value;
-    down.tag = static_cast<std::uint64_t>(idx);
-    down.sink = this;
     downstream_->request(down);
     return Stall::kNone;
 }
@@ -374,7 +371,7 @@ Cache::drainWritebacks()
         wb.fullLine = true;
         wb.origin = mem::Origin::kWriteback;
         wb.sink = nullptr;
-        if (!downstream_->canAcceptReq(wb))
+        if (!downstream_->canAccept(wb))
             return;
         downstream_->request(wb);
         writebacks_.pop_front();
@@ -398,20 +395,17 @@ Cache::issuePrefetches()
         if (containsLine(line))
             continue;
         const int idx = freeMshr();
-        CacheReq probe;
-        probe.addr = lineAlign(line);
-        if (idx < 0 || !downstream_->canAcceptReq(probe))
+        if (idx < 0)
             return;
-
-        Mshr &m = allocMshr(static_cast<unsigned>(idx), probe.addr);
-        m.prefetch = true;
-
         CacheReq down;
-        down.addr = m.line;
-        down.write = false;
+        down.addr = lineAlign(line);
         down.origin = mem::Origin::kPrefetch;
         down.tag = static_cast<std::uint64_t>(idx);
         down.sink = this;
+        if (!downstream_->canAccept(down))
+            return;
+
+        allocMshr(static_cast<unsigned>(idx), down.addr).prefetch = true;
         downstream_->request(down);
     }
 }

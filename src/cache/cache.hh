@@ -72,8 +72,9 @@ class Cache final : public Component,
     /** Register an upper-level cache for inclusive back-invalidation. */
     void addChild(Cache *child) { children_.push_back(child); }
 
-    // CachePort (upstream-facing).
-    bool canAccept() const override;
+    // CachePort (upstream-facing). One input queue: admission ignores
+    // the request.
+    bool canAccept(const CacheReq &req) const override;
     void request(const CacheReq &req) override;
 
     // CacheRespSink (downstream fill responses).

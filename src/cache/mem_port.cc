@@ -6,78 +6,28 @@ namespace dx::cache
 {
 
 bool
-DramPort::canAccept() const
+DramPort::canAccept(const CacheReq &req) const
 {
-    // Conservative: every channel must have room for a read and a write,
-    // since the caller does not tell us the target channel in advance.
-    for (unsigned c = 0; c < dram_.channels(); ++c) {
-        if (!dram_.channel(c).canAccept(false) ||
-            !dram_.channel(c).canAccept(true)) {
-            return false;
-        }
-    }
-    return true;
-}
-
-bool
-DramPort::canAcceptReq(const CacheReq &req) const
-{
-    return dram_.canAccept(lineAlign(req.addr), req.write);
+    return dram_.canAccept(req.addr, req.write);
 }
 
 void
 DramPort::request(const CacheReq &req)
 {
-    const Addr line = lineAlign(req.addr);
-    if (req.write) {
-        // Writebacks are fire-and-forget from the cache's perspective.
-        dram_.access(line, true, req.origin, 0, nullptr);
-        return;
-    }
-
-    std::uint32_t slot;
-    if (!freeSlots_.empty()) {
-        slot = freeSlots_.back();
-        freeSlots_.pop_back();
-    } else {
-        slot = static_cast<std::uint32_t>(slots_.size());
-        slots_.emplace_back();
-    }
-    slots_[slot] = req;
-    dram_.access(line, false, req.origin, slot, this);
-}
-
-void
-DramPort::complete(const mem::MemRequest &mreq)
-{
-    dx_assert(!mreq.write, "unexpected write response at DramPort");
-    const auto slot = static_cast<std::uint32_t>(mreq.tag);
-    CacheReq req = slots_[slot];
-    freeSlots_.push_back(slot);
-    if (req.sink)
-        req.sink->complete(req.tag);
+    // No cache asks for a write's completion: writebacks are
+    // fire-and-forget, so only reads ever complete.
+    dx_assert(!req.write || !req.sink, "DRAM write with a sink");
+    dram_.access(req.addr, req.write, req.tag, req.sink);
 }
 
 bool
-RangeRouter::canAccept() const
-{
-    if (!fallback_->canAccept())
-        return false;
-    for (const auto &r : ranges_) {
-        if (!r.port->canAccept())
-            return false;
-    }
-    return true;
-}
-
-bool
-RangeRouter::canAcceptReq(const CacheReq &req) const
+RangeRouter::canAccept(const CacheReq &req) const
 {
     for (const auto &r : ranges_) {
         if (req.addr >= r.begin && req.addr < r.end)
-            return r.port->canAcceptReq(req);
+            return r.port->canAccept(req);
     }
-    return fallback_->canAcceptReq(req);
+    return fallback_->canAccept(req);
 }
 
 void

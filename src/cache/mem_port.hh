@@ -7,7 +7,6 @@
 #ifndef DX_CACHE_MEM_PORT_HH
 #define DX_CACHE_MEM_PORT_HH
 
-#include <cstdint>
 #include <vector>
 
 #include "cache/cache_if.hh"
@@ -16,24 +15,24 @@
 namespace dx::cache
 {
 
-/** Adapts the CachePort protocol onto the DRAM system. */
-class DramPort : public CachePort, public mem::MemRespSink
+/**
+ * Adapts the CachePort protocol onto the DRAM system: a request asks
+ * and takes its own channel's queue, and the channel completes the
+ * requester's sink with the requester's tag.
+ */
+class DramPort : public CachePort
 {
   public:
     explicit DramPort(mem::DramSystem &dram) : dram_(dram) {}
 
-    bool canAccept() const override;
-    bool canAcceptReq(const CacheReq &req) const override;
+    bool canAccept(const CacheReq &req) const override;
     void request(const CacheReq &req) override;
-    void complete(const mem::MemRequest &req) override;
 
     /** Admission is gated on controller buffers; wake on their drains. */
     void addClient(Component &client) override { dram_.addClient(client); }
 
   private:
     mem::DramSystem &dram_;
-    std::vector<CacheReq> slots_;
-    std::vector<std::uint32_t> freeSlots_;
 };
 
 /**
@@ -55,8 +54,7 @@ class RangeRouter : public CachePort
             port->addClient(*c);
     }
 
-    bool canAccept() const override;
-    bool canAcceptReq(const CacheReq &req) const override;
+    bool canAccept(const CacheReq &req) const override;
     void request(const CacheReq &req) override;
 
     /** A client waits on the fallback and on every routed port. */

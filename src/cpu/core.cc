@@ -40,6 +40,34 @@ needsSq(OpKind k)
            k == OpKind::kMmioStore;
 }
 
+// What the core sends the L1. Admission never reads the sink, so the
+// sender sets it.
+
+/** A load or RMW, tagged with its sequence number. */
+cache::CacheReq
+loadRequest(const MicroOp &op, SeqNum seq)
+{
+    cache::CacheReq req;
+    req.addr = op.addr;
+    req.write = op.kind == OpKind::kRmw;
+    req.pc = op.pc;
+    req.value = op.value;
+    req.tag = seq;
+    return req;
+}
+
+/** A store leaving the store buffer. */
+cache::CacheReq
+storeRequest(const MicroOp &op)
+{
+    cache::CacheReq req;
+    req.addr = op.addr;
+    req.write = true;
+    req.pc = op.pc;
+    req.tag = kStoreTag;
+    return req;
+}
+
 } // namespace
 
 Core::Core(const Config &cfg, int id, cache::CachePort *l1)
@@ -190,14 +218,9 @@ Core::complete(const std::uint64_t &tag)
 bool
 Core::issueMemOp(RobEntry &e, SeqNum seq)
 {
-    cache::CacheReq req;
-    req.addr = e.op.addr;
-    req.write = e.op.kind == OpKind::kRmw;
-    req.pc = e.op.pc;
-    req.value = e.op.value;
-    req.tag = seq;
+    cache::CacheReq req = loadRequest(e.op, seq);
     req.sink = this;
-    if (!l1_->canAccept())
+    if (!l1_->canAccept(req))
         return false;
     l1_->request(req);
     e.state = EntryState::kIssued;
@@ -332,16 +355,11 @@ Core::commit()
 void
 Core::drainStores()
 {
-    for (unsigned n = 0; n < cfg_.storeDrain; ++n) {
-        if (storeBuffer_.empty() || !l1_->canAccept())
-            return;
-        const MicroOp &op = storeBuffer_.front();
-        cache::CacheReq req;
-        req.addr = op.addr;
-        req.write = true;
-        req.pc = op.pc;
-        req.tag = kStoreTag;
+    for (unsigned n = 0; n < cfg_.storeDrain && !storeBuffer_.empty(); ++n) {
+        cache::CacheReq req = storeRequest(storeBuffer_.front());
         req.sink = this;
+        if (!l1_->canAccept(req))
+            return;
         l1_->request(req);
         ++inflightStoreWrites_;
         storeBuffer_.pop_front();
@@ -435,12 +453,14 @@ Core::nextEventAt() const
         // so entries behind the front are never reached and the tick
         // is a no-op.
         const SeqNum seq = readyQueue_.front();
-        if (entry(seq).op.kind != OpKind::kLoad || fencePending(seq) ||
-            l1_->canAccept()) {
+        const MicroOp &op = entry(seq).op;
+        if (op.kind != OpKind::kLoad || fencePending(seq) ||
+            l1_->canAccept(loadRequest(op, seq))) {
             return now_ + 1; // would issue or move to fenceBlocked_
         }
     }
-    if (!storeBuffer_.empty() && l1_->canAccept())
+    if (!storeBuffer_.empty() &&
+        l1_->canAccept(storeRequest(storeBuffer_.front())))
         return now_ + 1; // drainStores() would issue
     // dispatch() would refill the front-end buffer from the kernel.
     if (kernel_ && kernel_->more() && opBuffer_.size() < 4 * cfg_.width)

@@ -27,6 +27,8 @@ Dx100::Dx100(const Dx100Config &cfg, mem::DramSystem &dram,
     retired_.push_back(true); // id 0 unused
     streamSink_.owner = this;
     llcSink_.owner = this;
+    llcSink_.viaCache = true;
+    dramSink_.owner = this;
     spdPort_.owner = this;
     const unsigned linesPerTile = cfg_.tileElems * Dx100Config::kSpdLane /
                                   kLineBytes;
@@ -402,8 +404,6 @@ Dx100::streamTick(StreamUnit &u)
             break;
         if (u.outstanding >= cfg_.requestTableSize)
             break;
-        if (!llcPort_ || !llcPort_->canAccept())
-            break;
         cache::CacheReq req;
         req.addr = u.lines[u.issuePos];
         req.write = u.isStore;
@@ -411,6 +411,8 @@ Dx100::streamTick(StreamUnit &u)
         req.origin = mem::Origin::kDx100;
         req.tag = u.issuePos;
         req.sink = &streamSink_;
+        if (!llcPort_ || !llcPort_->canAccept(req))
+            break;
         llcPort_->request(req);
         if (u.isStore)
             ++stats_.llcWrites;
@@ -430,26 +432,14 @@ Dx100::streamTick(StreamUnit &u)
 // ---------------------------------------------------------------------
 
 void
-Dx100::LlcSink::complete(const std::uint64_t &tag)
+Dx100::IndirectSink::complete(const std::uint64_t &tag)
 {
     owner->touch();
     owner->indirect_.responses.push_back(
-        {static_cast<IndirectTables::ColHandle>(tag), true});
+        {static_cast<IndirectTables::ColHandle>(tag), viaCache});
     dx_assert(owner->indirect_.outstandingReads > 0,
-              "stray LLC indirect response");
+              "stray ", viaCache ? "LLC" : "DRAM", " indirect response");
     --owner->indirect_.outstandingReads;
-}
-
-void
-Dx100::complete(const mem::MemRequest &req)
-{
-    touch();
-    dx_assert(!req.write, "unexpected DRAM write response");
-    indirect_.responses.push_back(
-        {static_cast<IndirectTables::ColHandle>(req.tag), false});
-    dx_assert(indirect_.outstandingReads > 0,
-              "stray DRAM indirect response");
-    --indirect_.outstandingReads;
 }
 
 void
@@ -587,16 +577,15 @@ Dx100::indirectRequests(IndirectUnit &u)
 
             const Addr line = u.lineOfHandle[req->handle];
             if (req->cacheHit) {
-                if (!llcPort_ || !llcPort_->canAccept()) {
-                    tables_.unsend(*req);
-                    break;
-                }
                 cache::CacheReq creq;
                 creq.addr = line;
-                creq.write = false;
                 creq.origin = mem::Origin::kDx100;
                 creq.tag = req->handle;
                 creq.sink = &llcSink_;
+                if (!llcPort_ || !llcPort_->canAccept(creq)) {
+                    tables_.unsend(*req);
+                    break;
+                }
                 llcPort_->request(creq);
                 ++stats_.llcReads;
             } else {
@@ -604,8 +593,7 @@ Dx100::indirectRequests(IndirectUnit &u)
                     tables_.unsend(*req);
                     break;
                 }
-                dram_.access(line, false, mem::Origin::kDx100,
-                             req->handle, this);
+                dram_.access(line, false, req->handle, &dramSink_);
                 ++stats_.dramReads;
             }
             ++u.outstandingReads;
@@ -648,19 +636,18 @@ Dx100::indirectWrites(IndirectUnit &u)
     while (!u.pendingWrites.empty()) {
         const auto [line, viaCache] = u.pendingWrites.front();
         if (viaCache) {
-            if (!llcPort_ || !llcPort_->canAccept())
-                return;
             cache::CacheReq creq;
             creq.addr = line;
             creq.write = true;
             creq.origin = mem::Origin::kDx100;
-            creq.sink = nullptr;
+            if (!llcPort_ || !llcPort_->canAccept(creq))
+                return;
             llcPort_->request(creq);
             ++stats_.llcWrites;
         } else {
             if (!dram_.canAccept(line, true))
                 return;
-            dram_.access(line, true, mem::Origin::kDx100, 0, nullptr);
+            dram_.access(line, true, 0, nullptr);
             ++stats_.dramWrites;
         }
         u.pendingWrites.pop_front();
@@ -718,7 +705,7 @@ Dx100::timedTick(UnitKind kind, std::uint64_t &processed)
 // ---------------------------------------------------------------------
 
 bool
-Dx100::SpdPort::canAccept() const
+Dx100::SpdPort::canAccept(const cache::CacheReq &) const
 {
     return queue.size() < owner->cfg_.spdPortQueue;
 }

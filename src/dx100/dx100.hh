@@ -78,9 +78,7 @@ class CoherencyAgent
     std::vector<SnoopPort *> caches_;
 };
 
-class Dx100 final : public Component,
-                    public cpu::MmioDevice,
-                    public mem::MemRespSink
+class Dx100 final : public Component, public cpu::MmioDevice
 {
   public:
     struct Stats
@@ -181,9 +179,6 @@ class Dx100 final : public Component,
     /** Tile ready bit (true = no in-flight instruction uses it). */
     bool tileReady(unsigned tile) const;
 
-    // mem::MemRespSink (direct DRAM responses for the indirect unit).
-    void complete(const mem::MemRequest &req) override;
-
     const Stats &stats() const { return stats_; }
     const Dx100Config &config() const { return cfg_; }
 
@@ -266,9 +261,12 @@ class Dx100 final : public Component,
 
     // ---- indirect unit --------------------------------------------------
 
-    struct LlcSink : public cache::CacheRespSink
+    /** Column responses, tagged by handle, from the LLC (H bit set)
+     *  or straight from DRAM. */
+    struct IndirectSink : public cache::CacheRespSink
     {
         Dx100 *owner = nullptr;
+        bool viaCache = false;
         void complete(const std::uint64_t &tag) override;
     };
 
@@ -304,7 +302,7 @@ class Dx100 final : public Component,
         Dx100 *owner = nullptr;
         std::deque<std::pair<Cycle, cache::CacheReq>> queue;
 
-        bool canAccept() const override;
+        bool canAccept(const cache::CacheReq &req) const override;
         void request(const cache::CacheReq &req) override;
     };
 
@@ -353,7 +351,8 @@ class Dx100 final : public Component,
     IndirectTables tables_;
 
     StreamSink streamSink_;
-    LlcSink llcSink_;
+    IndirectSink llcSink_;
+    IndirectSink dramSink_;
     SpdPort spdPort_;
 
     //!< SPD lines the cores may hold, per tile.

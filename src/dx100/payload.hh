@@ -26,10 +26,8 @@ struct ExecPayload
     std::uint64_t id = 0;  //!< instance-wide instruction id (wait token)
     Instruction instr;
 
-    /** TS1 snapshot: indices (ILD/IST/IRMW), range starts (RNG). */
+    /** TS1 snapshot: the indices of an ILD/IST/IRMW; empty otherwise. */
     std::vector<std::uint64_t> src1;
-    /** TS2 snapshot: range ends (RNG). Unused otherwise. */
-    std::vector<std::uint64_t> src2;
     /** Condition tile snapshot (empty => unconditioned). */
     std::vector<std::uint8_t> cond;
 

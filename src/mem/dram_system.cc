@@ -38,16 +38,14 @@ DramSystem::addClient(Component &client)
 }
 
 void
-DramSystem::access(Addr lineAddr, bool write, Origin origin,
-                   std::uint64_t tag, MemRespSink *sink)
+DramSystem::access(Addr lineAddr, bool write, std::uint64_t tag,
+                   Completion<std::uint64_t> *sink)
 {
     MemRequest req;
-    req.lineAddr = lineAlign(lineAddr);
     req.write = write;
-    req.origin = origin;
     req.tag = tag;
     req.sink = sink;
-    req.coord = map_.decompose(req.lineAddr);
+    req.coord = map_.decompose(lineAddr);
     channels_[req.coord.channel]->enqueue(req);
 }
 

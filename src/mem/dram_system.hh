@@ -47,9 +47,13 @@ class DramSystem final : public Component
      */
     void addClient(Component &client);
 
-    /** Enqueue a line request; canAccept must hold. */
-    void access(Addr lineAddr, bool write, Origin origin,
-                std::uint64_t tag, MemRespSink *sink);
+    /**
+     * Enqueue a line request; canAccept must hold. @p sink (may be
+     * null) is completed with @p tag when a read's data returns or a
+     * write issues.
+     */
+    void access(Addr lineAddr, bool write, std::uint64_t tag,
+                Completion<std::uint64_t> *sink);
 
     /**
      * Advance every channel one core clock cycle, for rigs that drive

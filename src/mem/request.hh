@@ -1,6 +1,6 @@
 /**
  * @file
- * Memory request / response plumbing shared by caches, DX100 and DRAM.
+ * Memory request plumbing shared by caches, DX100 and DRAM.
  */
 
 #ifndef DX_MEM_REQUEST_HH
@@ -15,7 +15,7 @@
 namespace dx::mem
 {
 
-/** Who generated a DRAM request (for stats attribution). */
+/** Who generated a memory request (for cache stats attribution). */
 enum class Origin : std::uint8_t
 {
     kCpuDemand,
@@ -24,26 +24,16 @@ enum class Origin : std::uint8_t
     kWriteback,
 };
 
-struct MemRequest;
-
 /**
- * Receives completions for DRAM reads (and writes, when issued) — the
- * memory-domain instantiation of the unified completion interface
- * (sim/port.hh).
+ * One line-granularity DRAM request: what the controller reads. The
+ * response is the requester's own cookie (sim/port.hh).
  */
-using MemRespSink = Completion<MemRequest>;
-
-/** One line-granularity DRAM request. */
 struct MemRequest
 {
-    Addr lineAddr = 0;
     bool write = false;
-    Origin origin = Origin::kCpuDemand;
-    std::uint64_t tag = 0;        //!< sink-defined cookie
-    MemRespSink *sink = nullptr;  //!< may be null for fire-and-forget
+    std::uint64_t tag = 0;                      //!< sink-defined cookie
+    Completion<std::uint64_t> *sink = nullptr;  //!< null: fire-and-forget
     DramCoord coord;
-    Cycle enqueued = 0;           //!< controller cycle of arrival
-    bool neededAct = false;       //!< filled by the controller (row stat)
 };
 
 } // namespace dx::mem

@@ -7,18 +7,20 @@
  *    client bound to it is woken when an entry leaves. The cache
  *    hierarchy's CachePort, the DRAM adapter, the range router and
  *    DX100's scratchpad port are all RequestPort<cache::CacheReq>.
- *  - Completion<Payload> is the response side. Cache fill callbacks
- *    (Completion<std::uint64_t>, the requester-defined cookie) and
- *    DRAM completions (Completion<mem::MemRequest>) are the two
- *    instantiations; there is deliberately no third.
+ *    A port answers one admission question, for the request about to
+ *    be sent.
+ *  - Completion<Payload> is the response side. Every response, from a
+ *    cache, a DRAM channel or the scratchpad, is
+ *    Completion<std::uint64_t> carrying the requester's own cookie;
+ *    there is deliberately no second instantiation.
  *  - SnoopPort is the residency/invalidation interface DX100's
  *    coherency agent uses against the (inclusive) cache hierarchy.
  *  - PortSlot<Req> is the wiring end: a named, bind-exactly-once
  *    holder components expose through Component::portRefs() so the
  *    topology tests can audit connectivity.
  *
- * Domain-specific names (cache::CachePort, cache::CacheRespSink,
- * mem::MemRespSink) survive as thin aliases of these templates.
+ * Domain-specific names (cache::CachePort, cache::CacheRespSink)
+ * survive as thin aliases of these templates.
  */
 
 #ifndef DX_SIM_PORT_HH
@@ -48,7 +50,14 @@ class RequestPort
 {
   public:
     virtual ~RequestPort() = default;
-    virtual bool canAccept() const = 0;
+
+    /**
+     * Could @p req be sent now? Ports that multiplex resources by
+     * address (the DRAM adapter's per-channel queues) ask only the one
+     * @p req would take, so one busy resource does not starve traffic
+     * headed elsewhere; single-queue ports ignore it.
+     */
+    virtual bool canAccept(const Req &req) const = 0;
 
     /**
      * Wake @p client (Component::departure) whenever an entry leaves
@@ -60,18 +69,6 @@ class RequestPort
     addClient(Component &client)
     {
         clients_.push_back(&client);
-    }
-
-    /**
-     * Request-specific admission: ports that multiplex resources by
-     * address (the DRAM adapter's per-channel queues) override this so
-     * one busy resource does not starve traffic headed elsewhere.
-     */
-    virtual bool
-    canAcceptReq(const Req &req) const
-    {
-        (void)req;
-        return canAccept();
     }
 
     virtual void request(const Req &req) = 0;

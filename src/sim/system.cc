@@ -406,15 +406,10 @@ System::run(Cycle maxCycles)
             dx_fatal("simulation exceeded cycle limit");
     }
     // A drained system must have emptied every redundant index too.
-    for (const auto &c : l1s_)
-        c->auditDrained();
-    for (const auto &c : l2s_)
-        c->auditDrained();
-    llc_->auditDrained();
-    for (const auto &d : dxs_)
-        d->auditDrained();
-    for (unsigned c = 0; c < dram_->channels(); ++c)
-        dram_->channel(c).auditDrained();
+    forEachInTickOrder([](const auto &c) {
+        if constexpr (requires { c.auditDrained(); })
+            c.auditDrained();
+    });
 
     sync();
     RunStats s = collectStats();

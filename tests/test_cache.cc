@@ -95,7 +95,7 @@ struct Rig
         req.pc = pc;
         req.tag = tag;
         req.sink = &sink;
-        ASSERT_TRUE(cache.canAccept());
+        ASSERT_TRUE(cache.canAccept(req));
         cache.request(req);
     }
 
@@ -382,7 +382,7 @@ TEST(RangeRouter, RoutesByAddressRange)
     struct StubPort : public CachePort
     {
         int count = 0;
-        bool canAccept() const override { return true; }
+        bool canAccept(const CacheReq &) const override { return true; }
         void request(const CacheReq &) override { ++count; }
     };
 

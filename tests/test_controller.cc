@@ -12,6 +12,7 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -25,7 +26,7 @@ using namespace dx::mem;
 namespace
 {
 
-struct Collector : public MemRespSink
+struct Collector : public Completion<std::uint64_t>
 {
     struct Done
     {
@@ -34,15 +35,30 @@ struct Collector : public MemRespSink
         bool write;
     };
 
+    /** What issue() sent under a tag: its channel and write bit. */
+    struct Issued
+    {
+        unsigned channel;
+        bool write;
+    };
+
     std::vector<Done> done;
+    std::map<std::uint64_t, Issued> issued;
     DramSystem *dram = nullptr;
 
+    /** Send one line request that completes here under @p tag. */
     void
-    complete(const MemRequest &req) override
+    issue(Addr addr, bool write, std::uint64_t tag)
     {
-        done.push_back({req.tag,
-                        dram->channel(req.coord.channel).now(),
-                        req.write});
+        issued[tag] = {dram->channelOf(addr), write};
+        dram->access(addr, write, tag, this);
+    }
+
+    void
+    complete(const std::uint64_t &tag) override
+    {
+        const Issued &i = issued.at(tag);
+        done.push_back({tag, dram->channel(i.channel).now(), i.write});
     }
 };
 
@@ -77,7 +93,7 @@ TEST(Controller, SingleReadLatencyIsActPlusCasPlusBurst)
     Collector sink;
     sink.dram = &dram;
 
-    dram.access(0, false, Origin::kCpuDemand, 1, &sink);
+    sink.issue(0, false, 1);
     runUntilIdle(dram);
 
     ASSERT_EQ(sink.done.size(), 1u);
@@ -103,9 +119,9 @@ TEST(Controller, RowHitFollowsFasterThanRowMiss)
     DramCoord miss = c0;
     miss.row = c0.row + 1;
 
-    dram.access(map.compose(c0), false, Origin::kCpuDemand, 0, &sink);
-    dram.access(map.compose(hit), false, Origin::kCpuDemand, 1, &sink);
-    dram.access(map.compose(miss), false, Origin::kCpuDemand, 2, &sink);
+    sink.issue(map.compose(c0), false, 0);
+    sink.issue(map.compose(hit), false, 1);
+    sink.issue(map.compose(miss), false, 2);
     runUntilIdle(dram);
 
     ASSERT_EQ(sink.done.size(), 3u);
@@ -137,12 +153,11 @@ TEST(Controller, FrfcfsReordersRowHitsAheadOfOlderConflicts)
     DramCoord hit = base;
     hit.column = base.column + 3;
 
-    dram.access(map.compose(base), false, Origin::kCpuDemand, 0, &sink);
+    sink.issue(map.compose(base), false, 0);
     // Let the ACT for row R land before the conflict arrives.
     run(dram, 8);
-    dram.access(map.compose(conflict), false, Origin::kCpuDemand, 1,
-                &sink);
-    dram.access(map.compose(hit), false, Origin::kCpuDemand, 2, &sink);
+    sink.issue(map.compose(conflict), false, 1);
+    sink.issue(map.compose(hit), false, 2);
     runUntilIdle(dram);
 
     ASSERT_EQ(sink.done.size(), 3u);
@@ -175,7 +190,7 @@ TEST(Controller, BankGroupInterleavingBeatsSameBankGroupStreams)
                 const Addr a = map.compose(c);
                 if (!dram.canAccept(a, false))
                     break;
-                dram.access(a, false, Origin::kCpuDemand, issued, &sink);
+                sink.issue(a, false, issued);
                 ++issued;
             }
             dram.tick();
@@ -198,8 +213,7 @@ TEST(Controller, WritesDrainAndComplete)
     sink.dram = &dram;
 
     for (unsigned i = 0; i < 24; ++i) {
-        dram.access(Addr{i} * kLineBytes, true, Origin::kWriteback, i,
-                    &sink);
+        sink.issue(Addr{i} * kLineBytes, true, i);
     }
     runUntilIdle(dram);
     EXPECT_EQ(sink.done.size(), 24u);
@@ -218,10 +232,9 @@ TEST(Controller, ReadsPreferredOverWritesBelowWatermark)
     // A few writes (below the high watermark) plus a read: the read
     // should complete before any write is drained.
     for (unsigned i = 0; i < 4; ++i) {
-        dram.access(Addr{i} * 4096, true, Origin::kWriteback, 100 + i,
-                    &sink);
+        sink.issue(Addr{i} * 4096, true, 100 + i);
     }
-    dram.access(Addr{1} << 20, false, Origin::kCpuDemand, 0, &sink);
+    sink.issue(Addr{1} << 20, false, 0);
     runUntilIdle(dram);
 
     ASSERT_FALSE(sink.done.empty());
@@ -253,7 +266,7 @@ TEST(Controller, RefreshClosesRowsPeriodically)
     EXPECT_GE(dram.channel(0).stats().refCommands.value(), 1u);
 
     // Requests issued after refresh still complete.
-    dram.access(0, false, Origin::kCpuDemand, 1, &sink);
+    sink.issue(0, false, 1);
     runUntilIdle(dram);
     EXPECT_EQ(sink.done.size(), 1u);
 }
@@ -268,7 +281,7 @@ TEST(Controller, BackpressureReportsQueueFull)
         if (dram.channelOf(a) != 0)
             continue;
         ASSERT_TRUE(dram.canAccept(a, false));
-        dram.access(a, false, Origin::kCpuDemand, i, nullptr);
+        dram.access(a, false, i, nullptr);
         ++enqueued;
     }
     // Next request to channel 0 must be refused.
@@ -290,7 +303,7 @@ TEST(Controller, StreamingReachesHighBusUtilization)
     Addr issued = 0;
     while (issued < total || !dram.drained()) {
         while (issued < total && dram.canAccept(next, false)) {
-            dram.access(next, false, Origin::kCpuDemand, issued, &sink);
+            sink.issue(next, false, issued);
             next += kLineBytes;
             ++issued;
         }
@@ -316,7 +329,7 @@ TEST(Controller, RandomRowsYieldLowRowHitRate)
                 lineAlign(rng.below(dram.geometry().capacity()));
             if (!dram.canAccept(a, false))
                 break;
-            dram.access(a, false, Origin::kCpuDemand, issued, &sink);
+            sink.issue(a, false, issued);
             ++issued;
         }
         dram.tick();
@@ -361,16 +374,16 @@ constexpr TrafficMix kMixes[] = {
 
 constexpr unsigned kGoldenRequests = 300;
 
-struct OrderSink : public MemRespSink
+struct OrderSink : public Completion<std::uint64_t>
 {
     const MemoryController *ctrl = nullptr;
     std::ostringstream out;
     unsigned count = 0;
 
     void
-    complete(const MemRequest &req) override
+    complete(const std::uint64_t &tag) override
     {
-        out << (count % 12 ? " " : "\n") << req.tag << '@' << ctrl->now();
+        out << (count % 12 ? " " : "\n") << tag << '@' << ctrl->now();
         ++count;
     }
 };

@@ -33,18 +33,19 @@ class TrafficTest : public ::testing::TestWithParam<TrafficParams>
 {
 };
 
-struct CountingSink : public MemRespSink
+struct CountingSink : public Completion<std::uint64_t>
 {
+    std::map<std::uint64_t, bool> isWrite; //!< every tag issued
     std::map<std::uint64_t, unsigned> reads;
     std::map<std::uint64_t, unsigned> writes;
 
     void
-    complete(const MemRequest &req) override
+    complete(const std::uint64_t &tag) override
     {
-        if (req.write)
-            ++writes[req.tag];
+        if (isWrite.at(tag))
+            ++writes[tag];
         else
-            ++reads[req.tag];
+            ++reads[tag];
     }
 };
 
@@ -70,8 +71,8 @@ TEST_P(TrafficTest, EveryAcceptedRequestServedExactlyOnce)
             const Addr a = lineAlign(rng.below(p.regionBytes));
             if (!dram.canAccept(a, write))
                 continue;
-            dram.access(a, write, Origin::kCpuDemand, nextTag++,
-                        write ? nullptr : &sink);
+            sink.isWrite[nextTag] = write;
+            dram.access(a, write, nextTag++, write ? nullptr : &sink);
             if (write)
                 ++writesIssued;
             else
@@ -110,8 +111,7 @@ TEST_P(TrafficTest, CommandAccountingIsConsistent)
         const bool write = rng.below(100) >= p.readPct;
         const Addr a = lineAlign(rng.below(p.regionBytes));
         if (dram.canAccept(a, write)) {
-            dram.access(a, write, Origin::kCpuDemand, issued++,
-                        nullptr);
+            dram.access(a, write, issued++, nullptr);
         }
         dram.tick();
     }
@@ -158,14 +158,15 @@ TEST(DramTiming, SameBankActToActRespectsTrc)
     DramSystem dram(cfg);
     const AddressMap &map = dram.addressMap();
 
-    struct Sink : public MemRespSink
+    struct Sink : public Completion<std::uint64_t>
     {
         std::vector<Cycle> done;
+        std::vector<unsigned> channelOf; //!< indexed by issued tag
         DramSystem *d = nullptr;
         void
-        complete(const MemRequest &req) override
+        complete(const std::uint64_t &tag) override
         {
-            done.push_back(d->channel(req.coord.channel).now());
+            done.push_back(d->channel(channelOf.at(tag)).now());
         }
     } sink;
     sink.d = &dram;
@@ -173,8 +174,9 @@ TEST(DramTiming, SameBankActToActRespectsTrc)
     DramCoord c0{};
     DramCoord c1{};
     c1.row = 1;
-    dram.access(map.compose(c0), false, Origin::kCpuDemand, 0, &sink);
-    dram.access(map.compose(c1), false, Origin::kCpuDemand, 1, &sink);
+    sink.channelOf = {c0.channel, c1.channel};
+    dram.access(map.compose(c0), false, 0, &sink);
+    dram.access(map.compose(c1), false, 1, &sink);
     for (Cycle t = 0; t < 100000 && !dram.drained(); ++t)
         dram.tick();
     ASSERT_EQ(sink.done.size(), 2u);
@@ -197,8 +199,7 @@ TEST(DramTiming, FourActivateWindowLimitsActivationBursts)
             DramCoord c{};
             c.bankGroup = static_cast<std::uint16_t>(bg);
             c.bank = static_cast<std::uint16_t>(ba);
-            dram.access(map.compose(c), false, Origin::kCpuDemand,
-                        issued++, nullptr);
+            dram.access(map.compose(c), false, issued++, nullptr);
         }
     }
     Cycle elapsed = 0;

@@ -226,7 +226,7 @@ TEST(Dx100Behavior, SpdPortServesAndInvalidatesOnRewrite)
     req.addr = rig.rt->spdAddr(tile, 0);
     req.tag = 1;
     req.sink = &sink;
-    ASSERT_TRUE(rig.dev->spdPort().canAccept());
+    ASSERT_TRUE(rig.dev->spdPort().canAccept(req));
     rig.dev->spdPort().request(req);
     for (int t = 0; t < 200 && sink.done == 0; ++t)
         rig.dev->tick();

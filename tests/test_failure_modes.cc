@@ -42,7 +42,10 @@ struct BlackHolePort : public cache::CachePort
 {
     unsigned taken = 0;
 
-    bool canAccept() const override { return true; }
+    bool canAccept(const cache::CacheReq &) const override
+    {
+        return true;
+    }
     void request(const cache::CacheReq &) override { ++taken; }
 };
 
